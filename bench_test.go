@@ -181,7 +181,8 @@ func TestSteadyStateAllocFree(t *testing.T) {
 // `worms` random dimension-order routes on a side x side torus — a large
 // sparse network where per-shard step work dominates the lockstep
 // barriers. Worm count is deliberately far below the node count so the
-// active set, not the occupancy tables, is the hot state.
+// active set, not the occupancy tables, is the hot state. The fresh-engine
+// and path-congestion benchmarks reuse it with many more routes.
 func shardedWorkload(tb testing.TB, side, worms int) (*graph.Graph, []sim.Worm, sim.Config) {
 	tb.Helper()
 	tor := topology.NewTorus(2, side)
@@ -229,10 +230,32 @@ func BenchmarkShardedSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFresh measures the same round with a cold Engine per
-// iteration, isolating the cost of first-run buffer growth.
+// Fresh-engine workload at scale: freshWorms random dimension-order routes
+// on a freshSide x freshSide torus. Validation and first-run buffer growth
+// are a large share of such a run, so a return to super-linear set-up
+// work shows here long before it shows in the warmed kernels.
+const (
+	freshSide  = 64
+	freshWorms = 100000
+)
+
+// BenchmarkEngineFresh measures one round with a cold Engine per
+// iteration, isolating the cost of first-run buffer growth: the 256-worm
+// kernel workload, and 10^5 worms where input validation must stay
+// linear.
 func BenchmarkEngineFresh(b *testing.B) {
-	g, worms, cfg := simRoundWorkload(b, 16)
+	b.Run("torus_side=16/worms=256", func(b *testing.B) {
+		g, worms, cfg := simRoundWorkload(b, 16)
+		benchFresh(b, g, worms, cfg)
+	})
+	b.Run(fmt.Sprintf("torus_side=%d/worms=%d", freshSide, freshWorms), func(b *testing.B) {
+		g, worms, cfg := shardedWorkload(b, freshSide, freshWorms)
+		benchFresh(b, g, worms, cfg)
+	})
+}
+
+// benchFresh runs the worms on a new Engine per iteration.
+func benchFresh(b *testing.B, g *graph.Graph, worms []sim.Worm, cfg sim.Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -323,6 +346,27 @@ func TestEmitBenchTrajectory(t *testing.T) {
 			BytesOp:   r.AllocedBytesPerOp(),
 		})
 	}
+	r := testing.Benchmark(func(b *testing.B) {
+		g, worms, cfg := shardedWorkload(b, freshSide, freshWorms)
+		benchFresh(b, g, worms, cfg)
+	})
+	points = append(points, point{
+		Bench:     "BenchmarkEngine/fresh",
+		TorusSide: freshSide,
+		Worms:     freshWorms,
+		NsPerOp:   r.NsPerOp(),
+		AllocsOp:  r.AllocsPerOp(),
+		BytesOp:   r.AllocedBytesPerOp(),
+	})
+	r = testing.Benchmark(func(b *testing.B) { benchPathCongestion(b, congestionSide, congestionRoutes) })
+	points = append(points, point{
+		Bench:     "BenchmarkPathCongestion",
+		TorusSide: congestionSide,
+		Worms:     congestionRoutes,
+		NsPerOp:   r.NsPerOp(),
+		AllocsOp:  r.AllocsPerOp(),
+		BytesOp:   r.AllocedBytesPerOp(),
+	})
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +382,9 @@ func TestEmitBenchTrajectory(t *testing.T) {
 
 // TestBenchRegressionGuard re-measures the steady-state kernel points of
 // the checked-in BENCH_sim.json baseline and fails if any regresses more
-// than 15% in ns/op, or allocates when the baseline did not. It then
+// than 15% in ns/op, or allocates when the baseline did not. The
+// fresh-engine point at 10^5 worms is held to a loose slack, so that
+// super-linear set-up work cannot hide behind the warm kernels. It then
 // re-measures the serving hot paths against BENCH_serve.json with a
 // looser 50% slack (they are store-I/O and JSON bound, so they wobble
 // more than the pure kernel), and the distributed hot paths against
@@ -369,7 +415,7 @@ func TestBenchRegressionGuard(t *testing.T) {
 	const slackPct = 15
 	for _, p := range points {
 		if p.Bench != "BenchmarkEngine/steady" {
-			continue // fresh and probe modes are informational, not contracts
+			continue // probe and small fresh rows are informational; fresh 10^5 is checked below
 		}
 		side := p.TorusSide
 		bestNs, bestAllocs := int64(math.MaxInt64), int64(math.MaxInt64)
@@ -404,6 +450,43 @@ func TestBenchRegressionGuard(t *testing.T) {
 		if bestAllocs > p.AllocsOp {
 			t.Errorf("torus_side=%d allocates %d allocs/op, baseline %d", side, bestAllocs, p.AllocsOp)
 		}
+	}
+
+	// Fresh engine at 10^5 worms: a loose +100% ns and +25% allocs slack
+	// (first-run page faults and GC wobble far more than the warm kernel),
+	// yet a return to per-worm regrowth of validator scratch — O(n^2)
+	// copying, an allocation per new highest ID — overshoots both.
+	const freshSlackPct, freshAllocSlackPct = 100, 25
+	freshFound := false
+	for _, p := range points {
+		if p.Bench != "BenchmarkEngine/fresh" || p.Worms != freshWorms {
+			continue
+		}
+		freshFound = true
+		bestNs, bestAllocs := int64(math.MaxInt64), int64(math.MaxInt64)
+		for run := 0; run < 3; run++ {
+			r := testing.Benchmark(func(b *testing.B) {
+				g, worms, cfg := shardedWorkload(b, p.TorusSide, p.Worms)
+				benchFresh(b, g, worms, cfg)
+			})
+			bestNs = min(bestNs, r.NsPerOp())
+			bestAllocs = min(bestAllocs, r.AllocsPerOp())
+		}
+		limit := p.NsPerOp * (100 + freshSlackPct) / 100
+		allocLimit := p.AllocsOp * (100 + freshAllocSlackPct) / 100
+		t.Logf("fresh worms=%d: %d ns/op (baseline %d, limit %d), %d allocs/op (baseline %d, limit %d)",
+			p.Worms, bestNs, p.NsPerOp, limit, bestAllocs, p.AllocsOp, allocLimit)
+		if bestNs > limit {
+			t.Errorf("fresh worms=%d regressed: %d ns/op exceeds baseline %d by more than %d%%",
+				p.Worms, bestNs, p.NsPerOp, freshSlackPct)
+		}
+		if bestAllocs > allocLimit {
+			t.Errorf("fresh worms=%d allocates %d allocs/op, baseline %d (+%d%% limit %d)",
+				p.Worms, bestAllocs, p.AllocsOp, freshAllocSlackPct, allocLimit)
+		}
+	}
+	if !freshFound {
+		t.Errorf("BENCH_sim.json has no BenchmarkEngine/fresh point at %d worms", freshWorms)
 	}
 
 	// Sharded lockstep kernel: +25% ns slack (goroutine scheduling and
@@ -597,17 +680,53 @@ func BenchmarkPathSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkPathCongestion measures the C-tilde computation.
+// Paper-scale C-tilde workload: congestionRoutes random dimension-order
+// routes on a congestionSide x congestionSide torus.
+const (
+	congestionSide   = 256
+	congestionRoutes = 1 << 15
+)
+
+// BenchmarkPathCongestion measures the C-tilde computation on a
+// collection with cold caches (link resolution, the link index and the
+// per-path counts): a 16x16 random function, and the paper-scale routes.
 func BenchmarkPathCongestion(b *testing.B) {
-	tor := topology.NewTorus(2, 16)
-	src := rng.New(9)
-	prs := paths.RandomFunction(tor.Graph().NumNodes(), src)
+	b.Run("torus_side=16/random_function", func(b *testing.B) {
+		tor := topology.NewTorus(2, 16)
+		src := rng.New(9)
+		prs := paths.RandomFunction(tor.Graph().NumNodes(), src)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			col, err := paths.Build(tor.Graph(), prs, paths.DimOrderTorus(tor))
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = col.PathCongestion()
+		}
+	})
+	b.Run(fmt.Sprintf("torus_side=%d/routes=%d", congestionSide, congestionRoutes), func(b *testing.B) {
+		benchPathCongestion(b, congestionSide, congestionRoutes)
+	})
+}
+
+// benchPathCongestion times PathCongestion on a new collection of the
+// given number of random dimension-order routes per iteration; building
+// and validating the collection is not timed.
+func benchPathCongestion(b *testing.B, side, routes int) {
+	g, worms, _ := shardedWorkload(b, side, routes)
+	ps := make([]graph.Path, len(worms))
+	for i := range worms {
+		ps[i] = worms[i].Path
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col, err := paths.Build(tor.Graph(), prs, paths.DimOrderTorus(tor))
+		b.StopTimer()
+		col, err := paths.NewCollection(g, ps)
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		_ = col.PathCongestion()
 	}
 }

@@ -375,6 +375,7 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 	}
 	g := c.Graph()
 	worms := make([]sim.Worm, 0, c.Size()) // reused across rounds
+	var tracker congestionTracker          // TrackCongestion scratch
 
 	// Degraded mode: protocol time elapsed before the current round, used
 	// to anchor the fault plan, plus a per-round down-link lookup.
@@ -398,7 +399,7 @@ func RunWithSimulator(c *paths.Collection, cfg Config, src *rng.Source, eng Simu
 			ResidualCongestion: -1,
 		}
 		if cfg.TrackCongestion {
-			stats.ResidualCongestion = residualCongestion(c, active)
+			stats.ResidualCongestion = tracker.residual(c, active)
 		}
 		if cfg.Probe != nil {
 			cfg.Probe.RoundStarted(t, delta, len(active))
@@ -544,29 +545,43 @@ func scheduleOf(cfg Config) DelaySchedule {
 	return HalvingSchedule{}
 }
 
-// residualCongestion computes the path congestion (paper's C-tilde,
-// counting the path itself) restricted to the still-active worms.
-func residualCongestion(c *paths.Collection, active []int) int {
-	isActive := make(map[int]bool, len(active))
+// congestionTracker computes the residual path congestion (paper's
+// C-tilde, counting the path itself) restricted to the still-active worms,
+// over the collection's link index. Its generation-stamped scratch is
+// reused across rounds: active[j] == round marks path j active, seen[j] ==
+// stamp marks it counted for the current path.
+type congestionTracker struct {
+	active, seen []int32
+	round, stamp int32
+}
+
+// residual returns the path congestion of the active sub-collection.
+func (t *congestionTracker) residual(c *paths.Collection, active []int) int {
+	if t.active == nil {
+		t.active = make([]int32, c.Size())
+		t.seen = make([]int32, c.Size())
+	}
+	t.round++
 	for _, idx := range active {
-		isActive[idx] = true
+		t.active[idx] = t.round
 	}
 	best := 0
-	seen := make(map[int]bool)
 	for _, idx := range active {
-		clear(seen)
+		t.stamp++
+		if t.stamp == 0 { // stamp wrap: invalidate every stale stamp once
+			clear(t.seen)
+			t.stamp = 1
+		}
 		count := 0
 		for _, id := range c.PathLinks(idx) {
-			for _, j := range c.LinkUsers(graph.LinkID(id)) {
-				if isActive[j] && !seen[j] {
-					seen[j] = true
+			for _, j := range c.LinkUsers(id) {
+				if t.active[j] == t.round && t.seen[j] != t.stamp {
+					t.seen[j] = t.stamp
 					count++
 				}
 			}
 		}
-		if count > best {
-			best = count
-		}
+		best = max(best, count)
 	}
 	return best
 }

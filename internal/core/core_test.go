@@ -203,6 +203,35 @@ func TestTrackCongestionHalves(t *testing.T) {
 	}
 }
 
+// TestResidualCongestionMatchesSubset checks every round's residual
+// congestion against C-tilde of the sub-collection still active at round
+// start, reconstructed from the rounds in which worms were acknowledged.
+func TestResidualCongestionMatchesSubset(t *testing.T) {
+	c := torusPermCollection(t, 10, 13)
+	res, err := Run(c, Config{
+		Bandwidth: 1, Length: 4, Rule: optical.ServeFirst, AckLength: 1,
+		Schedule: ConstantSchedule{Delta: 16}, TrackCongestion: true,
+	}, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalRounds < 3 {
+		t.Fatalf("only %d rounds; the check needs a shrinking active set", res.TotalRounds)
+	}
+	for _, rs := range res.Rounds {
+		var active []int
+		for idx, r := range res.WormRounds {
+			if r == 0 || r >= rs.Round {
+				active = append(active, idx)
+			}
+		}
+		if want := c.Subset(active).PathCongestion(); rs.ResidualCongestion != want {
+			t.Errorf("round %d: residual congestion %d, want %d over %d active paths",
+				rs.Round, rs.ResidualCongestion, want, len(active))
+		}
+	}
+}
+
 func TestRecordCollisionsTraces(t *testing.T) {
 	c := torusPermCollection(t, 5, 8)
 	res, err := Run(c, Config{

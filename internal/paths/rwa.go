@@ -37,20 +37,21 @@ func (c *Collection) GreedyWavelengthAssignment() (colors []int, used int) {
 		}
 		return order[a] < order[b]
 	})
-	c.ensureLinkUsers()
-	taken := make(map[int]bool)
-	for _, i := range order {
-		// Collect colors taken by conflicting, already-colored paths.
-		clear(taken)
-		for _, id := range c.links[i] {
-			for _, j := range c.linkUsers[id] {
-				if j != i && colors[j] >= 0 {
-					taken[colors[j]] = true
+	c.usersOnce.Do(c.buildUsers)
+	// taken[col] == step+1 while col is held by a conflicting path.
+	taken := make([]int32, n+1)
+	for step, i := range order {
+		stamp := int32(step + 1)
+		// Mark colors taken by conflicting, already-colored paths.
+		for _, id := range c.links[c.pathOff[i]:c.pathOff[i+1]] {
+			for _, j := range c.users[c.userOff[id]:c.userOff[id+1]] {
+				if int(j) != i && colors[j] >= 0 {
+					taken[colors[j]] = stamp
 				}
 			}
 		}
 		col := 0
-		for taken[col] {
+		for taken[col] == stamp {
 			col++
 		}
 		colors[i] = col

@@ -423,16 +423,10 @@ func newOutcome() Outcome {
 	}
 }
 
-// Run simulates one round: every worm is launched at its delay and the
-// round proceeds until all activity has drained. It returns an error for
-// invalid input or if the safety step bound is exceeded (which indicates a
-// bug, not a legitimate outcome). The returned Result is owned by the
-// engine and is only valid until the next Run call.
-func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) {
-	if err := e.val.check(g, worms, cfg); err != nil {
-		return nil, err
-	}
-	e.begin(g, cfg, len(worms))
+// spawnWorms creates one message train per worm from the links the
+// validator resolved, schedules its spawn, and returns the step bound of
+// the run: cfg.MaxSteps, or a safe bound derived from the input.
+func (e *Engine) spawnWorms(worms []Worm, cfg Config) int {
 	maxEnd := 0
 	for i := range worms {
 		w := &worms[i]
@@ -441,7 +435,11 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 		tr.outIdx = i
 		// The validator resolved every path hop once for its revisit check;
 		// reuse those link IDs instead of resolving the path a second time.
-		for _, id := range e.val.links(i) {
+		ids := e.val.links(i)
+		if cap(tr.links) < len(ids) {
+			tr.links = make([]int32, 0, len(ids))
+		}
+		for _, id := range ids {
 			tr.links = append(tr.links, int32(id))
 		}
 		tr.start = w.Delay
@@ -454,14 +452,25 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 		if cfg.AckLength > 0 {
 			end += len(tr.links) + cfg.AckLength + 2
 		}
-		if end > maxEnd {
-			maxEnd = end
-		}
+		maxEnd = max(maxEnd, end)
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = maxEnd + 4
+	if cfg.MaxSteps != 0 {
+		return cfg.MaxSteps
 	}
+	return maxEnd + 4
+}
+
+// Run simulates one round: every worm is launched at its delay and the
+// round proceeds until all activity has drained. It returns an error for
+// invalid input or if the safety step bound is exceeded (which indicates a
+// bug, not a legitimate outcome). The returned Result is owned by the
+// engine and is only valid until the next Run call.
+func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) {
+	if err := e.val.check(g, worms, cfg); err != nil {
+		return nil, err
+	}
+	e.begin(g, cfg, len(worms))
+	maxSteps := e.spawnWorms(worms, cfg)
 
 	t, err := e.cal.nextSpawnTime(0)
 	if err != nil {
@@ -1203,6 +1212,10 @@ func (e *Engine) complete(f *fragment, t int) {
 	ack.id = tr.id
 	ack.outIdx = tr.outIdx
 	ack.isAck = true
+	if cap(ack.links) < len(tr.links) {
+		//optlint:allow hotpath capacity-guarded growth: only a fresh train slot allocates, once, at its final size
+		ack.links = make([]int32, 0, len(tr.links))
+	}
 	for i := len(tr.links) - 1; i >= 0; i-- {
 		ack.links = append(ack.links, int32(e.g.Reverse(int(tr.links[i]))))
 	}

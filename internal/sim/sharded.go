@@ -314,33 +314,7 @@ func (e *Engine) RunSharded(g *graph.Graph, worms []Worm, cfg Config, sr *Sharde
 		runCfg.Probe = &shardProbeRouter{main: cfg.Probe, slots: sr.SlotProbes, owner: sr.LinkOwner}
 	}
 	e.begin(g, runCfg, len(worms))
-	maxEnd := 0
-	for i := range worms {
-		w := &worms[i]
-		tr := e.arena.newTrain()
-		tr.id = w.ID
-		tr.outIdx = i
-		for _, id := range e.val.links(i) {
-			tr.links = append(tr.links, int32(id))
-		}
-		tr.start = w.Delay
-		tr.length = w.Length
-		tr.wavelength = w.Wavelength
-		tr.rank = w.Rank
-		tr.band = MessageBand
-		e.addTrain(tr)
-		end := w.Delay + len(tr.links) + w.Length + 2
-		if cfg.AckLength > 0 {
-			end += len(tr.links) + cfg.AckLength + 2
-		}
-		if end > maxEnd {
-			maxEnd = end
-		}
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = maxEnd + 4
-	}
+	maxSteps := e.spawnWorms(worms, cfg)
 
 	st := newShardedState(e, sr)
 	defer st.close()

@@ -282,6 +282,20 @@ func (v *validator) check(g *graph.Graph, worms []Worm, cfg Config) error {
 		v.mark = make([]int32, g.NumLinks())
 		v.gen = 0
 	}
+	// Size the scratch once from the input, so a fresh engine neither
+	// regrows the stamp array per new highest ID nor the link buffer per
+	// append. Callers number worms densely from 0 in the common case.
+	v.growIDs(min(len(worms), idStampCap))
+	hops := 0
+	for i := range worms {
+		hops += max(len(worms[i].Path)-1, 0)
+	}
+	if cap(v.linkBuf) < hops {
+		v.linkBuf = make([]graph.LinkID, 0, hops)
+	}
+	if cap(v.off) < len(worms)+1 {
+		v.off = make([]int, 0, len(worms)+1)
+	}
 	v.linkBuf = v.linkBuf[:0]
 	v.off = append(v.off[:0], 0)
 	for i := range worms {
@@ -348,9 +362,7 @@ const idStampCap = 1 << 20
 func (v *validator) markID(id int) (dup bool) {
 	if id < idStampCap {
 		if id >= len(v.ids) {
-			next := make([]int32, id+1)
-			copy(next, v.ids)
-			v.ids = next
+			v.growIDs(min(max(id+1, 2*len(v.ids)), idStampCap))
 		}
 		if v.ids[id] == v.idGen {
 			return true
@@ -366,6 +378,18 @@ func (v *validator) markID(id int) (dup bool) {
 	}
 	v.idsBig[id] = true
 	return false
+}
+
+// growIDs extends the ID stamp array to at least n entries, keeping the
+// stamps already set. markID at least doubles the length on each growth,
+// so ascending IDs cost O(log n) allocations and linear copying in total.
+func (v *validator) growIDs(n int) {
+	if n <= len(v.ids) {
+		return
+	}
+	next := make([]int32, n)
+	copy(next, v.ids)
+	v.ids = next
 }
 
 // validate checks the configuration and worm specs with one-shot scratch.
