@@ -39,7 +39,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/shardsim"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -171,11 +170,7 @@ func runOnce(exec *jobs.Executor, path string, shards int) error {
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return fmt.Errorf("optnetd: bad spec %s: %w", path, err)
 	}
-	var eng jobs.Simulator = sim.NewEngine()
-	if shards > 1 {
-		eng = shardsim.New(shards)
-	}
-	res, fromCache, err := exec.Run(spec, eng, nil, nil)
+	res, fromCache, err := exec.Run(spec, shardsim.New(shards), nil, nil)
 	if err != nil {
 		return err
 	}

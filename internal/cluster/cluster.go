@@ -14,8 +14,9 @@
 //     relocatable); idle peers pull batches from /internal/steal, run
 //     them on their own reused engines, and return per-trial summaries +
 //     telemetry snapshots. The owner folds outcomes strictly in trial
-//     order through the existing checkpoint path, so the distributed
-//     Result is byte-identical to a single-node run.
+//     order in the jobs sweep loop — a local sweep is the same loop with
+//     no peers — so the distributed Result is byte-identical to a
+//     single-node run.
 //
 //   - Segment replication with read-repair: every locally appended
 //     record ships asynchronously to R peers, sealed JSONL segments ship
@@ -76,7 +77,7 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Metrics is the node's cluster gauge set, appended to /metrics under
+// Metrics is the node's cluster counter set, appended to /metrics under
 // the optnetd_cluster_ namespace.
 type Metrics struct {
 	// Forwards counts submits forwarded to their owner.
@@ -123,8 +124,8 @@ type Node struct {
 	exec  *jobs.Executor
 	store *jobs.Store
 	sched *jobs.Scheduler
-	live  *telemetry.Live
-	inner http.Handler // the wrapped jobs.Server handler
+	srv   *jobs.Server
+	inner http.Handler // srv's handler
 
 	steal *stealCoordinator
 	repl  *replicator
@@ -225,8 +226,8 @@ func (n *Node) Start(sched *jobs.Scheduler, live *telemetry.Live) {
 	}
 	n.started = true
 	n.sched = sched
-	n.live = live
-	n.inner = (&jobs.Server{Sched: sched, Live: live}).Handler()
+	n.srv = &jobs.Server{Sched: sched, Live: live}
+	n.inner = n.srv.Handler()
 	n.wg.Add(1)
 	go n.repl.run(&n.wg)
 	if n.store != nil && len(n.others) > 0 {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,76 +35,37 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON writes v with the given status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// The client hanging up mid-response is the only failure mode and it
-	// has nowhere to surface.
-	_ = enc.Encode(v)
-}
-
-// errorBody is the JSON error envelope, matching the jobs server's.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // submit handles POST /jobs: forward to the key's owner when the hop
 // budget allows, execute locally otherwise (including when the owner is
 // unreachable — placement is best effort, availability is not).
 func (n *Node) submit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		jobs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	var req jobs.SubmitRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		jobs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	key, err := req.Spec.Key()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	via := r.Header.Get(viaHeader)
 	if owner, ok := n.shouldForward(key, via); ok {
 		st, err := n.forwardSubmit(owner, via, req)
 		if err == nil {
-			code := http.StatusAccepted
-			if st.State == jobs.StateDone {
-				code = http.StatusOK
-			}
-			writeJSON(w, code, st)
+			n.srv.WriteSubmit(w, st, nil)
 			return
 		}
 		n.m.forwardFallbacks.Add(1)
 		n.cfg.Logf("cluster: %s: forward %s to owner %s failed (%v); executing locally", n.cfg.Self, key, owner.Name, err)
 	}
-	n.localSubmit(w, req)
-}
-
-// localSubmit runs a submit on the local scheduler, mirroring the jobs
-// server's status mapping.
-func (n *Node) localSubmit(w http.ResponseWriter, req jobs.SubmitRequest) {
 	st, err := n.sched.Submit(req.Spec, req.Priority)
-	switch {
-	case errors.Is(err, jobs.ErrBusy):
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(n.sched.RetryAfter().Seconds())))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	code := http.StatusAccepted
-	if st.State == jobs.StateDone {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
+	n.srv.WriteSubmit(w, st, err)
 }
 
 // status handles GET /jobs/{key}: serve locally known jobs, otherwise
@@ -124,10 +84,10 @@ func (n *Node) status(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := n.peerClient(owner, via).Status(key)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	jobs.WriteJSON(w, http.StatusOK, st)
 }
 
 // result handles GET /jobs/{key}/result, forwarding to the owner for
@@ -146,30 +106,30 @@ func (n *Node) result(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := n.peerClient(owner, via).Result(key)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	jobs.WriteJSON(w, http.StatusOK, res)
 }
 
 // metrics handles GET /metrics: the jobs server's output with the
-// optnetd_cluster_ gauges appended.
+// optnetd_cluster_ counters appended.
 func (n *Node) metrics(w http.ResponseWriter, r *http.Request) {
 	n.inner.ServeHTTP(w, r)
 	m := n.Metrics()
 	bw := bufio.NewWriter(w)
-	gauge := func(name, help string, v uint64) {
+	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	gauge("optnetd_cluster_forwards_total", "Submits forwarded to their owner.", m.Forwards)
-	gauge("optnetd_cluster_forward_fallbacks_total", "Submits executed locally after a failed forward.", m.ForwardFallbacks)
-	gauge("optnetd_cluster_trials_leased_total", "Trials handed to thieves by this owner.", m.TrialsLeased)
-	gauge("optnetd_cluster_trials_stolen_total", "Trials executed for other owners.", m.TrialsStolen)
-	gauge("optnetd_cluster_repl_records_total", "Record copies shipped to peers.", m.ReplRecords)
-	gauge("optnetd_cluster_repl_segments_total", "Sealed segments shipped to peers.", m.ReplSegments)
-	gauge("optnetd_cluster_repl_drops_total", "Replication queue overflows.", m.ReplDrops)
-	gauge("optnetd_cluster_repair_hits_total", "Store misses answered by a replica.", m.RepairHits)
-	gauge("optnetd_cluster_repair_misses_total", "Store misses no replica could answer.", m.RepairMisses)
+	counter("optnetd_cluster_forwards_total", "Submits forwarded to their owner.", m.Forwards)
+	counter("optnetd_cluster_forward_fallbacks_total", "Submits executed locally after a failed forward.", m.ForwardFallbacks)
+	counter("optnetd_cluster_trials_leased_total", "Trials handed to thieves by this owner.", m.TrialsLeased)
+	counter("optnetd_cluster_trials_stolen_total", "Trials executed for other owners.", m.TrialsStolen)
+	counter("optnetd_cluster_repl_records_total", "Record copies shipped to peers.", m.ReplRecords)
+	counter("optnetd_cluster_repl_segments_total", "Sealed segments shipped to peers.", m.ReplSegments)
+	counter("optnetd_cluster_repl_drops_total", "Replication queue overflows.", m.ReplDrops)
+	counter("optnetd_cluster_repair_hits_total", "Store misses answered by a replica.", m.RepairHits)
+	counter("optnetd_cluster_repair_misses_total", "Store misses no replica could answer.", m.RepairMisses)
 	if err := bw.Flush(); err != nil {
 		n.cfg.Logf("cluster: /metrics response truncated: %v", err)
 	}
@@ -179,7 +139,7 @@ func (n *Node) metrics(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 	var req StealRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	work, ok := n.steal.steal(req)
@@ -187,57 +147,57 @@ func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, work)
+	jobs.WriteJSON(w, http.StatusOK, work)
 }
 
 // handleStealComplete handles POST /internal/steal/complete.
 func (n *Node) handleStealComplete(w http.ResponseWriter, r *http.Request) {
 	var sc StealComplete
 	if err := json.NewDecoder(io.LimitReader(r.Body, 256<<20)).Decode(&sc); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if err := n.steal.complete(sc); err != nil {
 		// Gone or congested: the thief drops the batch and the lease TTL
 		// re-runs the trials; nothing is lost either way.
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	jobs.WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // handleStorePut handles POST /internal/store: ingest one replicated
 // record. PutRaw skips the observer, so the copy is not re-replicated.
 func (n *Node) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	if n.store == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no store on this node"})
+		jobs.WriteError(w, http.StatusServiceUnavailable, "no store on this node")
 		return
 	}
 	var it replItem
 	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&it); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if it.Key == "" || len(it.Value) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "record needs key and value"})
+		jobs.WriteError(w, http.StatusBadRequest, "record needs key and value")
 		return
 	}
 	if err := n.store.PutRaw(it.Key, it.Value); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	jobs.WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // handleStoreGet handles GET /internal/store/{key}: raw value or 404.
 func (n *Node) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	if n.store == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no store on this node"})
+		jobs.WriteError(w, http.StatusServiceUnavailable, "no store on this node")
 		return
 	}
 	raw, ok := n.store.Get(r.PathValue("key"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown key"})
+		jobs.WriteError(w, http.StatusNotFound, "unknown key")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -250,26 +210,26 @@ func (n *Node) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 // handleSegmentList handles GET /internal/segments.
 func (n *Node) handleSegmentList(w http.ResponseWriter, r *http.Request) {
 	if n.store == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no store on this node"})
+		jobs.WriteError(w, http.StatusServiceUnavailable, "no store on this node")
 		return
 	}
 	infos, err := n.store.Segments()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, infos)
+	jobs.WriteJSON(w, http.StatusOK, infos)
 }
 
 // handleSegmentGet handles GET /internal/segments/{name}.
 func (n *Node) handleSegmentGet(w http.ResponseWriter, r *http.Request) {
 	if n.store == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no store on this node"})
+		jobs.WriteError(w, http.StatusServiceUnavailable, "no store on this node")
 		return
 	}
 	data, err := n.store.ReadSegment(r.PathValue("name"))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -283,19 +243,19 @@ func (n *Node) handleSegmentGet(w http.ResponseWriter, r *http.Request) {
 // import a shipped segment (gap fill only; local data always wins).
 func (n *Node) handleSegmentPut(w http.ResponseWriter, r *http.Request) {
 	if n.store == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no store on this node"})
+		jobs.WriteError(w, http.StatusServiceUnavailable, "no store on this node")
 		return
 	}
 	origin := r.URL.Query().Get("origin")
 	data, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	added, err := n.store.ImportSegment(origin, r.PathValue("name"), data)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		jobs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"applied": added})
+	jobs.WriteJSON(w, http.StatusOK, map[string]int{"applied": added})
 }

@@ -9,9 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/paths"
-	"repro/internal/shardsim"
 	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/shardsim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -60,10 +59,7 @@ func runTrialsPrep(c *paths.Collection, cfg core.Config, trials int, src *rng.So
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var eng core.Simulator = sim.NewEngine() // goroutine-local; never shared
-			if trialShards > 1 {
-				eng = shardsim.New(trialShards)
-			}
+			eng := shardsim.New(trialShards) // goroutine-local; never shared
 			wcfg := cfg
 			var col *telemetry.Collector
 			if live != nil {

@@ -49,10 +49,10 @@ func TestClientSubmitRetries429(t *testing.T) {
 					if tc.retryAfter != "" {
 						w.Header().Set("Retry-After", tc.retryAfter)
 					}
-					writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "jobs: queue full"})
+					WriteJSON(w, http.StatusTooManyRequests, errorBody{Error: "jobs: queue full"})
 					return
 				}
-				writeJSON(w, http.StatusAccepted, JobStatus{Key: "k", State: StateQueued})
+				WriteJSON(w, http.StatusAccepted, JobStatus{Key: "k", State: StateQueued})
 			}))
 			defer srv.Close()
 
@@ -121,7 +121,7 @@ func TestClientHeaderApplied(t *testing.T) {
 	var got atomic.Value
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got.Store(r.Header.Get("X-Optnet-Via"))
-		writeJSON(w, http.StatusAccepted, JobStatus{Key: "k"})
+		WriteJSON(w, http.StatusAccepted, JobStatus{Key: "k"})
 	}))
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL, Header: http.Header{"X-Optnet-Via": []string{"a,b"}}}

@@ -283,89 +283,45 @@ func aggregateDynamic(trials []DynamicTrialSummary) DynamicAggregate {
 	return a
 }
 
-// runDynamic executes (or resumes) a dynamic trace-replay sweep trial by
-// trial, mirroring runRoute: the checkpoint after every trial makes
-// kill-at-any-trial resume byte-identical, and the folded telemetry
-// snapshot accumulates every trial's engine events.
-func (e *Executor) runDynamic(key string, norm Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, error) {
-	d := norm.Dynamic
+// sweep materializes the (normalized) dynamic spec for the sweep loop:
+// each step replays the trace once on eng with trial i's protocol stream.
+func (d *DynamicSpec) sweep(eng Simulator) (*sweep[DynamicTrialSummary], error) {
 	setup, err := d.setup()
 	if err != nil {
 		return nil, err
 	}
-	summaries := make([]DynamicTrialSummary, 0, d.Trials)
-	folded := &telemetry.Snapshot{}
-	start := 0
-	if e.Store != nil || e.Lookup != nil {
-		var ck checkpoint
-		ok, err := e.lookupJSON(checkpointKey(key), &ck)
-		if err != nil {
-			return nil, err
-		}
-		if ok && ck.Key == key && ck.Done == len(ck.DynamicTrials) && ck.Done <= d.Trials && ck.Telemetry != nil {
-			summaries = append(summaries, ck.DynamicTrials...)
-			folded = ck.Telemetry
-			start = ck.Done
-		}
-	}
-	if progress != nil {
-		progress(start, d.Trials)
-	}
-	col := telemetry.NewCollector()
-	cfg := setup.cfg
-	cfg.Sim.Probe = col
-	for i := start; i < d.Trials; i++ {
-		if canceled != nil && canceled() {
-			return nil, ErrCanceled
-		}
-		res, err := eng.RunDynamic(setup.g, setup.reqs, cfg, setup.trialSrcs[i])
-		if err != nil {
-			return nil, err
-		}
-		s := DynamicTrialSummary{
-			Trial:      i,
-			Requests:   len(res.Outcomes),
-			Attempts:   res.TotalAttempts,
-			Makespan:   res.Makespan,
-			FaultKills: res.FaultKills,
-		}
-		for _, o := range res.Outcomes {
-			if o.Delivered {
-				s.Delivered++
-				s.LatencySum += o.Latency
-				if o.Latency > s.LatencyMax {
-					s.LatencyMax = o.Latency
+	return &sweep[DynamicTrialSummary]{
+		trials: d.Trials,
+		step: func(i int, probe *telemetry.Collector) (DynamicTrialSummary, error) {
+			cfg := setup.cfg
+			cfg.Sim.Probe = probe
+			res, err := eng.RunDynamic(setup.g, setup.reqs, cfg, setup.trialSrcs[i])
+			if err != nil {
+				return DynamicTrialSummary{}, err
+			}
+			s := DynamicTrialSummary{
+				Trial:      i,
+				Requests:   len(res.Outcomes),
+				Attempts:   res.TotalAttempts,
+				Makespan:   res.Makespan,
+				FaultKills: res.FaultKills,
+			}
+			for _, o := range res.Outcomes {
+				if o.Delivered {
+					s.Delivered++
+					s.LatencySum += o.Latency
+					if o.Latency > s.LatencyMax {
+						s.LatencyMax = o.Latency
+					}
+				}
+				if o.GaveUp {
+					s.GaveUp++
 				}
 			}
-			if o.GaveUp {
-				s.GaveUp++
-			}
-		}
-		summaries = append(summaries, s)
-		snap := col.Snapshot()
-		if e.Live != nil {
-			e.Live.Absorb(col) // resets col for the next trial
-		} else {
-			col.Reset()
-		}
-		if err := folded.Add(snap); err != nil {
-			return nil, err
-		}
-		if e.Store != nil {
-			ck := checkpoint{Key: key, Done: i + 1, DynamicTrials: summaries, Telemetry: folded}
-			if err := e.Store.Put(checkpointKey(key), ck); err != nil {
-				return nil, err
-			}
-		}
-		if progress != nil {
-			progress(i+1, d.Trials)
-		}
-	}
-	return &Result{
-		Key:              key,
-		Spec:             norm,
-		DynamicTrials:    summaries,
-		DynamicAggregate: aggregateDynamic(summaries),
-		Telemetry:        folded,
+			return s, nil
+		},
+		result: func(rows []DynamicTrialSummary, folded *telemetry.Snapshot) *Result {
+			return &Result{DynamicTrials: rows, DynamicAggregate: aggregateDynamic(rows), Telemetry: folded}
+		},
 	}, nil
 }

@@ -187,8 +187,9 @@ type TrialSession interface {
 }
 
 // TrialDistributor opens distribution sessions for route sweeps; the
-// cluster layer implements it. Distribute may return nil to keep the
-// sweep purely local (no peers, too few trials, stealing disabled).
+// cluster layer implements it. Distribute may return nil (no peers, too
+// few trials, stealing disabled); the sweep loop then claims every trial
+// itself, in order.
 type TrialDistributor interface {
 	Distribute(key string, spec Spec, start, total int) TrialSession
 }
@@ -269,9 +270,15 @@ func (e *Executor) Run(spec Spec, eng Simulator, progress func(done, total int),
 	case norm.Experiment != nil:
 		res, err = e.runExperiment(key, norm)
 	case norm.Dynamic != nil:
-		res, err = e.runDynamic(key, norm, eng, progress, canceled)
+		var sw *sweep[DynamicTrialSummary]
+		if sw, err = norm.Dynamic.sweep(eng); err == nil {
+			res, err = runSweep(e, key, norm, sw, progress, canceled)
+		}
 	default:
-		res, err = e.runRoute(key, norm, eng, progress, canceled)
+		var sw *sweep[TrialSummary]
+		if sw, err = norm.Route.sweep(eng); err == nil {
+			res, err = runSweep(e, key, norm, sw, progress, canceled)
+		}
 	}
 	if err != nil {
 		return nil, false, err
@@ -303,63 +310,85 @@ func (e *Executor) runExperiment(key string, norm Spec) (*Result, error) {
 	return &Result{Key: key, Spec: norm, Table: table, Text: text}, nil
 }
 
-// routeTrial executes one trial of a materialized route sweep on eng.
-// cfg is the setup's config with the caller's probe attached.
-func routeTrial(setup *runSetup, cfg core.Config, i int, eng Simulator) (TrialSummary, error) {
-	res, err := core.RunWithSimulator(setup.col, cfg, setup.trialSrcs[i], eng)
-	if err != nil {
-		return TrialSummary{}, err
-	}
-	return TrialSummary{
-		Trial:      i,
-		Rounds:     res.TotalRounds,
-		Time:       res.TotalTime,
-		Measured:   res.MeasuredTime,
-		Worms:      res.Params.N,
-		Acked:      res.Params.N - len(res.StillActive),
-		FaultKills: res.TotalFaultKills,
-		Rerouted:   res.TotalRerouted,
-		Completed:  res.AllDelivered,
-	}, nil
+// summary is a sweep's per-trial row type. Route and dynamic jobs each
+// keep their rows under their own checkpoint and Result fields.
+type summary interface {
+	TrialSummary | DynamicTrialSummary
 }
 
-// routeResult assembles a route sweep's final Result from its folded
-// state; shared by the sequential and distributed paths so both produce
-// the same bytes.
-func routeResult(key string, norm Spec, setup *runSetup, summaries []TrialSummary, folded *telemetry.Snapshot) *Result {
-	var params core.Params
-	if setup.col.Size() > 0 {
-		params = core.Params{
-			N:              setup.col.Size(),
-			Dilation:       setup.col.Dilation(),
-			PathCongestion: setup.col.PathCongestion(),
-			Length:         setup.cfg.Length,
-			Bandwidth:      setup.cfg.Bandwidth,
-		}
-	}
-	return &Result{
-		Key:       key,
-		Spec:      norm,
-		Params:    params,
-		Trials:    summaries,
-		Aggregate: aggregate(summaries),
-		Telemetry: folded,
-	}
+// sweep is what one job kind supplies to the sweep loop, once its set-up
+// is materialized: the trial count, a step that runs trial i with probe
+// attached and returns its row, and a builder for the kind's Result
+// fields from the folded rows (the loop fills in Key and Spec).
+type sweep[S summary] struct {
+	trials int
+	step   func(i int, probe *telemetry.Collector) (S, error)
+	result func(rows []S, folded *telemetry.Snapshot) *Result
 }
 
-// runRoute executes (or resumes) a route sweep trial by trial. With a
-// TrialDistributor attached, remote peers may steal trial ranges; the
-// fold stays strictly in trial order either way, so the distributed
-// result is byte-identical to a single-node run.
-func (e *Executor) runRoute(key string, norm Spec, eng Simulator, progress func(done, total int), canceled func() bool) (*Result, error) {
-	r := norm.Route
-	setup, err := r.setup()
+// trial runs trial i with col as its probe and returns the row plus the
+// trial's solo telemetry snapshot. col comes back empty for the next
+// trial: live, when set, absorbs its events; otherwise they are dropped.
+func (sw *sweep[S]) trial(i int, col *telemetry.Collector, live *telemetry.Live) (S, *telemetry.Snapshot, error) {
+	row, err := sw.step(i, col)
 	if err != nil {
-		return nil, err
+		return row, nil, err
 	}
-	summaries := make([]TrialSummary, 0, r.Trials)
+	snap := col.Snapshot()
+	if live != nil {
+		live.Absorb(col) // resets col
+	} else {
+		col.Reset()
+	}
+	return row, snap, nil
+}
+
+// rowsOf returns the field of ck that holds S's rows.
+func rowsOf[S summary](ck *checkpoint) *[]S {
+	var rows any = &ck.Trials
+	if _, dynamic := any(*new(S)).(DynamicTrialSummary); dynamic {
+		rows = &ck.DynamicTrials
+	}
+	return rows.(*[]S)
+}
+
+// localSession is the TrialSession of a sweep no peer helps with: it
+// hands out trials start..total in order and never delivers a batch.
+type localSession struct{ next, total int }
+
+// ClaimLocal implements TrialSession.
+func (s *localSession) ClaimLocal() (int, bool) {
+	if s.next >= s.total {
+		return 0, false
+	}
+	s.next++
+	return s.next - 1, true
+}
+
+// Completed implements TrialSession; the nil channel never delivers.
+func (s *localSession) Completed() <-chan RemoteBatch { return nil }
+
+// Close implements TrialSession.
+func (s *localSession) Close() {}
+
+// distPollInterval bounds the owner's wait for remote batches, so
+// cancellation and reclaimed trials are noticed promptly.
+const distPollInterval = 50 * time.Millisecond
+
+// runSweep executes (or resumes) a sweep; every route and dynamic job
+// runs through it. It resumes from the job's checkpoint (local store,
+// then replicas), then claims trials from a TrialSession: the
+// distributor's when peers help with a route sweep, a localSession
+// otherwise. The owner runs its claimed trials on its own engine while
+// remote batches arrive on the session channel. Outcomes are buffered
+// per trial index and folded strictly in trial order — each fold step
+// appends the row, adds the trial's snapshot via telemetry.Snapshot.Add
+// and checkpoints — so the result and every checkpoint are
+// byte-identical however the trials were spread over peers and restarts.
+func runSweep[S summary](e *Executor, key string, norm Spec, sw *sweep[S], progress func(done, total int), canceled func() bool) (*Result, error) {
+	total := sw.trials
+	rows := make([]S, 0, total)
 	folded := &telemetry.Snapshot{}
-	start := 0
 	if e.Store != nil || e.Lookup != nil {
 		// The checkpoint lookup consults replicas too: a sweep whose owner
 		// died resumes on the next node from the replicated checkpoint.
@@ -368,108 +397,37 @@ func (e *Executor) runRoute(key string, norm Spec, eng Simulator, progress func(
 		if err != nil {
 			return nil, err
 		}
-		if ok && ck.Key == key && ck.Done == len(ck.Trials) && ck.Done <= r.Trials && ck.Telemetry != nil {
-			summaries = append(summaries, ck.Trials...)
+		if done := *rowsOf[S](&ck); ok && ck.Key == key && ck.Done == len(done) && ck.Done <= total && ck.Telemetry != nil {
+			rows = append(rows, done...)
 			folded = ck.Telemetry
-			start = ck.Done
 		}
 	}
+	next := len(rows) // fold pointer
 	if progress != nil {
-		progress(start, r.Trials)
+		progress(next, total)
 	}
-	if e.Distribute != nil {
-		if sess := e.Distribute.Distribute(key, norm, start, r.Trials); sess != nil {
-			return e.runRouteDistributed(key, norm, setup, summaries, folded, start, eng, progress, canceled, sess)
-		}
+	var sess TrialSession
+	if e.Distribute != nil && norm.Route != nil {
+		sess = e.Distribute.Distribute(key, norm, next, total)
 	}
-	col := telemetry.NewCollector()
-	cfg := setup.cfg
-	cfg.Probe = col
-	for i := start; i < r.Trials; i++ {
-		if canceled != nil && canceled() {
-			return nil, ErrCanceled
-		}
-		sum, err := routeTrial(setup, cfg, i, eng)
-		if err != nil {
-			return nil, err
-		}
-		summaries = append(summaries, sum)
-		snap := col.Snapshot()
-		if e.Live != nil {
-			e.Live.Absorb(col) // resets col for the next trial
-		} else {
-			col.Reset()
-		}
-		if err := folded.Add(snap); err != nil {
-			return nil, err
-		}
-		if e.Store != nil {
-			ck := checkpoint{Key: key, Done: i + 1, Trials: summaries, Telemetry: folded}
-			if err := e.Store.Put(checkpointKey(key), ck); err != nil {
-				return nil, err
-			}
-		}
-		if progress != nil {
-			progress(i+1, r.Trials)
-		}
+	if sess == nil {
+		sess = &localSession{next: next, total: total}
 	}
-	return routeResult(key, norm, setup, summaries, folded), nil
-}
-
-// distPollInterval bounds the owner's wait for remote batches, so
-// cancellation and reclaimed trials are noticed promptly.
-const distPollInterval = 50 * time.Millisecond
-
-// runRouteDistributed executes a route sweep with remote help. The owner
-// claims trials the session has not handed to peers and executes them on
-// its own engine; remotely executed batches arrive on the session
-// channel. Outcomes are buffered per trial index and folded strictly in
-// trial order — each fold step appends the summary, adds the trial's
-// snapshot via telemetry.Snapshot.Add and checkpoints, exactly like the
-// sequential loop — so the result and every checkpoint are byte-identical
-// to a single-node run of the same spec.
-func (e *Executor) runRouteDistributed(key string, norm Spec, setup *runSetup, summaries []TrialSummary, folded *telemetry.Snapshot, start int, eng Simulator, progress func(done, total int), canceled func() bool, sess TrialSession) (*Result, error) {
 	defer sess.Close()
-	total := norm.Route.Trials
-	col := telemetry.NewCollector()
-	cfg := setup.cfg
-	cfg.Probe = col
 
-	pending := make(map[int]TrialOutcome) // completed, not yet folded
-	next := start                         // fold pointer: len(summaries)
-	fold := func() error {
-		for {
-			out, ok := pending[next]
-			if !ok {
-				return nil
-			}
-			delete(pending, next)
-			summaries = append(summaries, out.Summary)
-			if err := folded.Add(out.Snapshot); err != nil {
-				return err
-			}
-			next++
-			if e.Store != nil {
-				ck := checkpoint{Key: key, Done: next, Trials: summaries, Telemetry: folded}
-				if err := e.Store.Put(checkpointKey(key), ck); err != nil {
-					return err
-				}
-			}
-			if progress != nil {
-				progress(next, total)
-			}
-		}
+	type outcome struct {
+		row  S
+		snap *telemetry.Snapshot
 	}
+	pending := make(map[int]outcome) // completed, not yet folded
 	absorb := func(b RemoteBatch) {
 		for _, out := range b.Outcomes {
 			i := out.Summary.Trial
-			if i < next || i >= total {
-				continue // duplicate of an already-folded (reclaimed) trial
+			row, ok := any(out.Summary).(S)
+			if _, dup := pending[i]; !ok || dup || i < next || i >= total {
+				continue // a duplicate, an already-folded (reclaimed) trial, or out of range
 			}
-			if _, ok := pending[i]; ok {
-				continue
-			}
-			pending[i] = out
+			pending[i] = outcome{row, out.Snapshot}
 			if e.Live != nil {
 				// Live gauges are best effort; the authoritative fold is the
 				// result's snapshot, where a mismatch is a hard error.
@@ -477,23 +435,17 @@ func (e *Executor) runRouteDistributed(key string, norm Spec, setup *runSetup, s
 			}
 		}
 	}
-
+	col := telemetry.NewCollector()
 	for next < total {
 		if canceled != nil && canceled() {
 			return nil, ErrCanceled
 		}
 		if i, ok := sess.ClaimLocal(); ok {
-			sum, err := routeTrial(setup, cfg, i, eng)
+			row, snap, err := sw.trial(i, col, e.Live)
 			if err != nil {
 				return nil, err
 			}
-			snap := col.Snapshot()
-			if e.Live != nil {
-				e.Live.Absorb(col) // resets col for the next trial
-			} else {
-				col.Reset()
-			}
-			pending[i] = TrialOutcome{Summary: sum, Snapshot: snap}
+			pending[i] = outcome{row, snap}
 		} else {
 			// Every remaining trial is claimed remotely: wait for a batch,
 			// bounded so expired claims (dead peer) flow back to ClaimLocal.
@@ -513,11 +465,72 @@ func (e *Executor) runRouteDistributed(key string, norm Spec, setup *runSetup, s
 				break drained
 			}
 		}
-		if err := fold(); err != nil {
-			return nil, err
+		for out, ok := pending[next]; ok; out, ok = pending[next] {
+			delete(pending, next)
+			rows = append(rows, out.row)
+			if err := folded.Add(out.snap); err != nil {
+				return nil, err
+			}
+			next++
+			if e.Store != nil {
+				ck := checkpoint{Key: key, Done: next, Telemetry: folded}
+				*rowsOf[S](&ck) = rows
+				if err := e.Store.Put(checkpointKey(key), ck); err != nil {
+					return nil, err
+				}
+			}
+			if progress != nil {
+				progress(next, total)
+			}
 		}
 	}
-	return routeResult(key, norm, setup, summaries, folded), nil
+	res := sw.result(rows, folded)
+	res.Key, res.Spec = key, norm
+	return res, nil
+}
+
+// sweep materializes the (normalized) route spec for the sweep loop:
+// each step runs the protocol once on eng with trial i's rng stream.
+func (r *RouteSpec) sweep(eng Simulator) (*sweep[TrialSummary], error) {
+	setup, err := r.setup()
+	if err != nil {
+		return nil, err
+	}
+	return &sweep[TrialSummary]{
+		trials: r.Trials,
+		step: func(i int, probe *telemetry.Collector) (TrialSummary, error) {
+			cfg := setup.cfg
+			cfg.Probe = probe
+			res, err := core.RunWithSimulator(setup.col, cfg, setup.trialSrcs[i], eng)
+			if err != nil {
+				return TrialSummary{}, err
+			}
+			return TrialSummary{
+				Trial:      i,
+				Rounds:     res.TotalRounds,
+				Time:       res.TotalTime,
+				Measured:   res.MeasuredTime,
+				Worms:      res.Params.N,
+				Acked:      res.Params.N - len(res.StillActive),
+				FaultKills: res.TotalFaultKills,
+				Rerouted:   res.TotalRerouted,
+				Completed:  res.AllDelivered,
+			}, nil
+		},
+		result: func(rows []TrialSummary, folded *telemetry.Snapshot) *Result {
+			var params core.Params
+			if setup.col.Size() > 0 {
+				params = core.Params{
+					N:              setup.col.Size(),
+					Dilation:       setup.col.Dilation(),
+					PathCongestion: setup.col.PathCongestion(),
+					Length:         setup.cfg.Length,
+					Bandwidth:      setup.cfg.Bandwidth,
+				}
+			}
+			return &Result{Params: params, Trials: rows, Aggregate: aggregate(rows), Telemetry: folded}
+		},
+	}, nil
 }
 
 // RunTrialRange executes trials [from, to) of a route sweep on eng,
@@ -538,21 +551,17 @@ func RunTrialRange(spec Spec, eng Simulator, from, to int) ([]TrialOutcome, erro
 	if from < 0 || to > r.Trials || from > to {
 		return nil, fmt.Errorf("jobs: trial range [%d, %d) outside sweep of %d trials", from, to, r.Trials)
 	}
-	setup, err := r.setup()
+	sw, err := r.sweep(eng)
 	if err != nil {
 		return nil, err
 	}
 	col := telemetry.NewCollector()
-	cfg := setup.cfg
-	cfg.Probe = col
 	outs := make([]TrialOutcome, 0, to-from)
 	for i := from; i < to; i++ {
-		sum, err := routeTrial(setup, cfg, i, eng)
+		sum, snap, err := sw.trial(i, col, nil)
 		if err != nil {
 			return nil, err
 		}
-		snap := col.Snapshot()
-		col.Reset()
 		outs = append(outs, TrialOutcome{Summary: sum, Snapshot: snap})
 	}
 	return outs, nil

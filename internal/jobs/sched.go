@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/shardsim"
-	"repro/internal/sim"
 )
 
 // ErrBusy is returned by Submit when the queue is at capacity; servers
@@ -276,10 +275,7 @@ func (s *Scheduler) Submit(spec Spec, priority int) (JobStatus, error) {
 // worker executes queued jobs on a goroutine-owned engine until Close.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	var eng Simulator = sim.NewEngine() // reused across all of this worker's jobs
-	if s.opts.Shards > 1 {
-		eng = shardsim.New(s.opts.Shards)
-	}
+	eng := shardsim.New(s.opts.Shards) // reused across all of this worker's jobs
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {

@@ -329,7 +329,7 @@ func TestWorkerEngineZeroAlloc(t *testing.T) {
 	if _, _, err := (&Executor{}).Run(spec, eng, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Steady state on the job's workload, probe attached as in runRoute.
+	// Steady state on the job's workload, probe attached as in the sweep loop.
 	g := setup.col.Graph()
 	col := telemetry.NewCollector()
 	worms := make([]sim.Worm, setup.col.Size())

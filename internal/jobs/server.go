@@ -53,12 +53,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON writes v with the given status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as indented JSON with the given status code. The
+// cluster layer answers through it too, so every optnetd response is
+// encoded the same way.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
+	// The client hanging up mid-response is the only failure mode and it
+	// has nowhere to surface.
 	_ = enc.Encode(v)
 }
 
@@ -67,38 +71,49 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// WriteError writes the JSON error envelope {"error": msg} with the
+// given status code.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, errorBody{Error: msg})
+}
+
 // submit handles POST /jobs.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	st, err := s.Sched.Submit(req.Spec, req.Priority)
+	s.WriteSubmit(w, st, err)
+}
+
+// WriteSubmit answers a POST /jobs with the outcome of a submit: 200 for
+// a job already done, 202 for a queued or running one, 429 with the
+// scheduler's Retry-After hint for ErrBusy, and 400 for any other error.
+// A cluster node answers the submits it executes or forwards through it.
+func (s *Server) WriteSubmit(w http.ResponseWriter, st JobStatus, err error) {
 	switch {
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.Sched.RetryAfter()/time.Second)))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		return
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+		WriteError(w, http.StatusBadRequest, err.Error())
+	case st.State == StateDone:
+		WriteJSON(w, http.StatusOK, st)
+	default:
+		WriteJSON(w, http.StatusAccepted, st)
 	}
-	code := http.StatusAccepted
-	if st.State == StateDone {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
 }
 
 // status handles GET /jobs/{key}.
 func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Sched.Status(r.PathValue("key"))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // result handles GET /jobs/{key}/result; ?wait=1 blocks until the job
@@ -108,26 +123,26 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("wait") == "1" {
 		done, err := s.Sched.Done(key)
 		if err != nil {
-			writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+			WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
 		select {
 		case <-done:
 		case <-r.Context().Done():
-			writeJSON(w, http.StatusRequestTimeout, errorBody{Error: "client gave up waiting"})
+			WriteError(w, http.StatusRequestTimeout, "client gave up waiting")
 			return
 		}
 	}
 	res, st, err := s.Sched.Result(key)
 	switch {
 	case errors.Is(err, ErrUnknownJob):
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusNotFound, err.Error())
 	case err != nil:
-		writeJSON(w, http.StatusConflict, st)
+		WriteJSON(w, http.StatusConflict, st)
 	case res == nil:
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	default:
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	}
 }
 
@@ -137,7 +152,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	done, err := s.Sched.Done(key)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -183,15 +198,15 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if err := s.Sched.Cancel(key); err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	st, err := s.Sched.Status(key)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // metrics handles GET /metrics: the telemetry aggregate in Prometheus
@@ -205,19 +220,22 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	m := s.Sched.Metrics()
-	// Gauges render into a buffer first: writes to the concrete
+	// Metrics render into a buffer first: writes to the concrete
 	// *bufio.Writer cannot fail, and the one real failure mode — the
 	// scraper hanging up mid-response — surfaces at the checked Flush.
 	bw := bufio.NewWriter(w)
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
+	counter := func(name, help string, v uint64) {
+		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	}
 	gauge("optnetd_queue_depth", "Jobs waiting in the priority queue.", float64(m.QueueDepth))
 	gauge("optnetd_jobs_running", "Jobs currently executing.", float64(m.Running))
-	gauge("optnetd_cache_hits_total", "Submissions answered from the result store.", float64(m.CacheHits))
-	gauge("optnetd_cache_misses_total", "Submissions that had to simulate.", float64(m.CacheMisses))
+	counter("optnetd_cache_hits_total", "Submissions answered from the result store.", m.CacheHits)
+	counter("optnetd_cache_misses_total", "Submissions that had to simulate.", m.CacheMisses)
 	gauge("optnetd_cache_hit_ratio", "Cache hits over completed submissions.", m.CacheHitRatio)
-	gauge("optnetd_jobs_completed_total", "Jobs finished in any state.", float64(m.JobsDone))
+	counter("optnetd_jobs_completed_total", "Jobs finished in any state.", m.JobsDone)
 	gauge("optnetd_jobs_per_second", "Job completion rate since start.", m.JobsPerSecond)
 	if m.StoreEntries >= 0 {
 		gauge("optnetd_store_entries", "Live keys in the result store.", float64(m.StoreEntries))
@@ -238,7 +256,7 @@ var httpLogf = log.Printf
 func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if s.Live == nil {
-		writeJSON(w, http.StatusOK, &telemetry.Snapshot{})
+		WriteJSON(w, http.StatusOK, &telemetry.Snapshot{})
 		return
 	}
 	if err := s.Live.Snapshot().WriteJSON(w); err != nil {

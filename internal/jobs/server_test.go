@@ -208,8 +208,9 @@ func TestServerCancelAndErrors(t *testing.T) {
 	}
 }
 
-// TestServerMetrics: /metrics exposes telemetry and the optnetd_ gauges;
-// /snapshot serves the telemetry snapshot.
+// TestServerMetrics: /metrics exposes telemetry and the optnetd_ gauges
+// and counters, each _total series typed as a counter; /snapshot serves
+// the telemetry snapshot.
 func TestServerMetrics(t *testing.T) {
 	srv, c, _ := newTestServer(t, Options{})
 	st, err := c.Submit(testSpec(77, 2), 0)
@@ -239,6 +240,10 @@ func TestServerMetrics(t *testing.T) {
 		"optnetd_jobs_per_second",
 		"optnetd_store_entries 1",
 		"optnet_runs_total 2", // telemetry flowed into Live
+		"# TYPE optnetd_queue_depth gauge",
+		"# TYPE optnetd_cache_hits_total counter",
+		"# TYPE optnetd_cache_misses_total counter",
+		"# TYPE optnetd_jobs_completed_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
