@@ -207,9 +207,11 @@ func shardedWorkload(tb testing.TB, side, worms int) (*graph.Graph, []sim.Worm, 
 // BenchmarkShardedSteadyState measures one round of 2048 worms on a
 // 512x512 torus through the cluster simulator at 1, 2, 4, and 8 shards
 // (shards=1 is the plain single-engine path, the scaling baseline).
-// Throughput scales with physical cores: on a multi-core host the
-// sharded runs overlap release/collect/resolve work across shards, on a
-// single-core host they serialize and only pay the barrier overhead.
+// Each shard is a lane of the packed kernel that walks, resolves and
+// converts its own links' fragments and words; the lanes run on
+// min(shards, GOMAXPROCS) goroutines, so throughput scales with the cores
+// the host has, while input validation, spawning and the per-step
+// coordinator sections stay serial.
 func BenchmarkShardedSteadyState(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		name := fmt.Sprintf("torus_side=512/worms=2048/shards=%d", shards)

@@ -22,7 +22,11 @@ import (
 type ClusterSimulator struct {
 	shards int
 	eng    *sim.Engine
-	sr     sim.ShardedRun
+	// sr carries the cached partition's link owners into every sharded
+	// run; the renumbered key layout and the boundary-word count it
+	// derives from them are built once per partition (and bandwidth),
+	// not per run.
+	sr sim.ShardedRun
 
 	mu sync.Mutex
 	// part caches the partition of the last graph seen, keyed by the

@@ -83,11 +83,11 @@ func TestClusterVsEngineAcrossTopologies(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"torus2x4", topology.NewTorus(2, 4).Graph()},       // box strategy
-		{"butterfly3", topology.NewButterfly(3).Graph()},    // bands strategy
-		{"debruijn4", topology.NewDeBruijn(4).Graph()},      // bfs fallback
-		{"mesh2x5", topology.NewMesh(2, 5).Graph()},         // box, odd side
-		{"ring12", topology.NewRing(12).Graph()},            // bfs fallback
+		{"torus2x4", topology.NewTorus(2, 4).Graph()},    // box strategy
+		{"butterfly3", topology.NewButterfly(3).Graph()}, // bands strategy
+		{"debruijn4", topology.NewDeBruijn(4).Graph()},   // bfs fallback
+		{"mesh2x5", topology.NewMesh(2, 5).Graph()},      // box, odd side
+		{"ring12", topology.NewRing(12).Graph()},         // bfs fallback
 	}
 	refEng := sim.NewEngine()
 	seed := uint64(70000)
@@ -283,6 +283,115 @@ func TestClusterDynamicDelegates(t *testing.T) {
 	for i := range gotOutcomes {
 		if gotOutcomes[i] != want.Outcomes[i] {
 			t.Fatalf("dynamic outcome %d: %+v vs %+v", i, gotOutcomes[i], want.Outcomes[i])
+		}
+	}
+}
+
+// TestShardedVsEngineAtScale runs ~2000-worm rounds through the cluster
+// simulator on graphs large enough that tails linger on a neighbouring
+// shard and heads cross cuts back and forth: a 32x32 torus, a 16x16
+// mesh, a 6-dimensional hypercube and a butterfly, at 2, 3, 5 and 8
+// shards, worms up to 16 flits long, B in {1, 4, 65} (65 puts a bucket
+// stride across an occupancy word boundary). Every run must equal the
+// plain packed engine's result and collision log. A fault arm attaches a
+// random fault plan and a telemetry collector and also compares the
+// snapshots.
+func TestShardedVsEngineAtScale(t *testing.T) {
+	topos := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"torus32x32", topology.NewTorus(2, 32).Graph()},
+		{"mesh16x16", topology.NewMesh(2, 16).Graph()},
+		{"hypercube6", topology.NewHypercube(6).Graph()},
+		{"butterfly4", topology.NewButterfly(4).Graph()},
+	}
+	refEng := sim.NewEngine()
+	seed := uint64(97000)
+	for _, tp := range topos {
+		for _, shards := range []int{2, 3, 5, 8} {
+			cs := New(shards)
+			for _, bw := range []int{1, 4, 65} {
+				seed++
+				src := rng.New(seed)
+				worms := randomWorms(tp.g, src, 2000, 16, 48, bw)
+				cfg := sim.Config{
+					Bandwidth:        bw,
+					Rule:             optical.ServeFirst,
+					Tie:              optical.TiePolicy(seed % 2),
+					Wreckage:         sim.Drain,
+					AckLength:        int(seed % 3),
+					RecordCollisions: true,
+				}
+				if seed%4 == 0 {
+					cfg.Conversion = sim.FullConversion
+				}
+				label := fmt.Sprintf("%s/shards=%d/B=%d", tp.name, shards, bw)
+				got, err := cs.Run(tp.g, worms, cfg)
+				if err != nil {
+					t.Fatalf("%s: cluster: %v", label, err)
+				}
+				gotCopy := copyResult(got)
+				want, err := refEng.Run(tp.g, worms, cfg)
+				if err != nil {
+					t.Fatalf("%s: packed: %v", label, err)
+				}
+				compareRuns(t, label, gotCopy, want)
+			}
+
+			// Fault arm: outages, ack losses and stuck couplers, with the
+			// telemetry snapshot compared as well.
+			seed++
+			src := rng.New(seed)
+			worms := randomWorms(tp.g, src, 2000, 16, 48, 4)
+			plan := faults.MustRandom(tp.g, 4, faults.GenConfig{
+				Horizon: 120, LinkOutages: 40, WavelengthOutages: 40,
+				AckLosses: 20, StuckCouplers: 8,
+				MinDuration: 4, MaxDuration: 40,
+			}, src.Split())
+			cfg := sim.Config{
+				Bandwidth:        4,
+				Rule:             optical.ServeFirst,
+				Wreckage:         sim.Drain,
+				AckLength:        2,
+				RecordCollisions: true,
+				CheckInvariants:  true,
+				Faults:           plan.MustCompile(tp.g, 4),
+			}
+			label := fmt.Sprintf("%s/shards=%d/faults", tp.name, shards)
+			col := telemetry.NewCollector()
+			cfg.Probe = col
+			got, err := cs.Run(tp.g, worms, cfg)
+			if err != nil {
+				t.Fatalf("%s: cluster: %v", label, err)
+			}
+			gotCopy := copyResult(got)
+			refCol := telemetry.NewCollector()
+			cfg.Probe = refCol
+			want, err := refEng.Run(tp.g, worms, cfg)
+			if err != nil {
+				t.Fatalf("%s: packed: %v", label, err)
+			}
+			compareRuns(t, label, gotCopy, want)
+			if want.FaultKillCount == 0 {
+				t.Fatalf("%s: the fault plan killed nothing", label)
+			}
+			snap := col.Snapshot()
+			if snap.BoundaryHandoffs == 0 {
+				t.Fatalf("%s: no boundary handoffs", label)
+			}
+			snap.BoundaryHandoffs, snap.BoundaryWords = 0, 0
+			wantJSON, err := json.Marshal(refCol.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(wantJSON) != string(gotJSON) {
+				t.Fatalf("%s: telemetry differs:\nref:     %s\ncluster: %s", label, wantJSON, gotJSON)
+			}
 		}
 	}
 }

@@ -20,26 +20,57 @@ const (
 // appended, never reallocated), and consecutive allocations are adjacent
 // in memory — the per-step walk over the active list visits fragments in
 // roughly allocation order, so slab locality turns the walk's pointer
-// chasing into a mostly-sequential stream. Link and wavelength slices
-// keep their capacity across recycles.
+// chasing into a mostly-sequential stream. Wavelength slices keep their
+// capacity across recycles.
+//
+// Every train's links and keys are carved from ints, one flat []int32 per
+// run: a train's two slices sit side by side, and the trains of a run are
+// packed in spawn order. Run reserves the whole run's need up front; a
+// dynamic run grows the buffer geometrically. A new block leaves the
+// slices already carved from the old one valid (the trains keep it
+// reachable), and the largest block is reused by the next run, so steady
+// state allocates nothing.
 type arena struct {
 	trainSlabs [][]train
 	nextTrain  int
 	fragSlabs  [][]fragment
 	nextFrag   int
+	ints       []int32
 }
 
 // reset recycles every object handed out since the previous reset.
 func (a *arena) reset() {
 	a.nextTrain = 0
 	a.nextFrag = 0
+	a.ints = a.ints[:0]
 }
 
-// newTrain returns a recycled train whose links/waves/keys buffers keep
-// their previously grown capacity. Scalar fields are NOT zeroed: every
+// reserve makes room for n more int32s without further allocation.
+func (a *arena) reserve(n int) {
+	if cap(a.ints)-len(a.ints) < n {
+		a.ints = make([]int32, 0, max(n, 2*cap(a.ints)))
+	}
+}
+
+// carve returns the next n int32s of the buffer, with length and capacity
+// n. Contents are stale; callers overwrite every element.
+//
+//optlint:hotpath
+func (a *arena) carve(n int) []int32 {
+	if cap(a.ints)-len(a.ints) < n {
+		//optlint:allow hotpath geometric growth: a reserved run never grows, a dynamic run O(log n) times
+		a.ints = make([]int32, 0, max(n, 1024, 2*cap(a.ints)))
+	}
+	lo := len(a.ints)
+	a.ints = a.ints[:lo+n]
+	return a.ints[lo : lo+n : lo+n]
+}
+
+// newTrain returns a recycled train. Scalar fields are NOT zeroed: every
 // spawn site (the Run worm loop, spawnAck, the dynamic launcher) assigns
-// all of them before addTrain, and addTrain reslices waves and sizes
-// keys. Only the two flags no site writes unconditionally are reset.
+// all of them — links from carve — before addTrain, and addTrain reslices
+// waves and carves keys. Only the two flags no site writes
+// unconditionally are reset.
 //
 //optlint:hotpath
 func (a *arena) newTrain() *train {
@@ -50,7 +81,6 @@ func (a *arena) newTrain() *train {
 	}
 	tr := &a.trainSlabs[ci][si]
 	a.nextTrain++
-	tr.links = tr.links[:0]
 	tr.isAck = false
 	tr.cut = false
 	return tr
@@ -79,16 +109,16 @@ func (a *arena) newFrag(t *train, jMin, jMax, barrier, relUpTo int) *fragment {
 	return f
 }
 
-// appendPathLinks appends p's directed link IDs to dst, reusing dst's
-// capacity (the allocating equivalent is graph.Path.Links). Link IDs are
-// stored narrowed, matching train.links.
-func appendPathLinks(dst []int32, g *graph.Graph, p graph.Path) []int32 {
-	for i := 0; i+1 < len(p); i++ {
+// fillPathLinks writes p's directed link IDs into dst, which has room for
+// exactly p.Len() of them (the allocating equivalent is graph.Path.Links).
+// Link IDs are stored narrowed, matching train.links.
+func fillPathLinks(dst []int32, g *graph.Graph, p graph.Path) []int32 {
+	for i := range dst {
 		id, ok := g.LinkBetween(p[i], p[i+1])
 		if !ok {
 			panic(fmt.Sprintf("sim: path uses missing link %d->%d", p[i], p[i+1]))
 		}
-		dst = append(dst, int32(id))
+		dst[i] = int32(id)
 	}
 	return dst
 }

@@ -3,13 +3,13 @@ package sim
 import "fmt"
 
 // calendar is the engine's time-bucketed spawn agenda: bucket t holds the
-// fragments whose train starts at step t. Buckets are indexed by absolute
+// trains that start at step t. Buckets are indexed by absolute
 // step and recycled across runs (lengths reset, capacity kept), replacing
 // the step->fragments hash map plus linear key scan of the original
 // implementation with O(1) insertion and an O(gap) forward scan that only
 // runs when the network is idle.
 type calendar struct {
-	buckets [][]*fragment
+	buckets [][]*train
 	pending int
 }
 
@@ -23,29 +23,35 @@ func (c *calendar) reset() {
 	c.pending = 0
 }
 
-// add schedules fragment f to activate at step t >= 0.
+// add schedules train tr to activate at step t >= 0.
 //
 //optlint:hotpath
-func (c *calendar) add(t int, f *fragment) {
+func (c *calendar) add(t int, tr *train) {
 	for len(c.buckets) <= t {
 		c.buckets = append(c.buckets, nil)
 	}
-	c.buckets[t] = append(c.buckets[t], f)
+	c.buckets[t] = append(c.buckets[t], tr)
 	c.pending++
 }
 
-// takeInto appends the fragments spawning at step t to dst, empties the
-// bucket, and returns the extended slice.
+// takeInto gives every train spawning at step t its whole-train fragment,
+// appends the fragments to dst in bucket order, empties the bucket, and
+// returns the extended slice. Allocating the fragment at activation, not
+// at scheduling, keeps fragment arena indices in active-list order: a
+// fragment joins the active list when it is allocated (here or in a
+// split), so ascending fragment.self is the single engine's active order.
 //
 //optlint:hotpath
-func (c *calendar) takeInto(t int, dst []*fragment) []*fragment {
+func (c *calendar) takeInto(t int, dst []*fragment, a *arena) []*fragment {
 	if t < 0 || t >= len(c.buckets) || len(c.buckets[t]) == 0 {
 		return dst
 	}
-	fs := c.buckets[t]
-	dst = append(dst, fs...)
-	c.pending -= len(fs)
-	c.buckets[t] = fs[:0]
+	trs := c.buckets[t]
+	for _, tr := range trs {
+		dst = append(dst, a.newFrag(tr, 0, tr.length-1, len(tr.links), 0))
+	}
+	c.pending -= len(trs)
+	c.buckets[t] = trs[:0]
 	return dst
 }
 

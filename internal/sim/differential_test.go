@@ -336,7 +336,7 @@ func TestPackedVsFlatFaultMatrix(t *testing.T) {
 // distinct internal error instead of spinning until the MaxSteps guard.
 func TestCalendarInconsistencyError(t *testing.T) {
 	var c calendar
-	c.add(3, &fragment{})
+	c.add(3, &train{})
 	if _, err := c.nextSpawnTime(2); err != nil {
 		t.Fatalf("spawn at 3 is >= 2: %v", err)
 	}
@@ -346,7 +346,7 @@ func TestCalendarInconsistencyError(t *testing.T) {
 	if _, err := c.nextSpawnTime(4); err == nil {
 		t.Fatal("pending spawn strictly before the cursor must be an internal-inconsistency error")
 	}
-	c.takeInto(3, nil)
+	c.takeInto(3, nil, &arena{})
 	if s, err := c.nextSpawnTime(7); err != nil || s != 7 {
 		t.Fatalf("empty calendar: next = %d, %v; want 7 and no error", s, err)
 	}

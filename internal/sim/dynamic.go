@@ -192,7 +192,7 @@ func RunDynamicWithEngine(e *Engine, g *graph.Graph, reqs []Request, cfg Dynamic
 		retry = ExponentialBackoff{Base: 2 * maxLen}
 	}
 
-	e.begin(g, cfg.Sim, 0)
+	e.begin(g, cfg.Sim, 0, nil)
 	dres := &DynamicResult{Outcomes: make([]DynamicOutcome, len(reqs))}
 	for i := range dres.Outcomes {
 		dres.Outcomes[i] = DynamicOutcome{DeliveredAt: -1, Latency: -1}
@@ -218,13 +218,13 @@ func RunDynamicWithEngine(e *Engine, g *graph.Graph, reqs []Request, cfg Dynamic
 		tr := e.arena.newTrain()
 		tr.id = outIdx // unique per attempt
 		tr.outIdx = outIdx
-		tr.links = appendPathLinks(tr.links, g, r.Path)
+		tr.links = fillPathLinks(e.arena.carve(r.Path.Len()), g, r.Path)
 		tr.start = t
 		tr.length = r.Length
 		tr.wavelength = src.Intn(cfg.Sim.Bandwidth)
 		tr.rank = src.Intn(1 << 30)
 		tr.band = MessageBand
-		e.addTrain(tr)
+		e.addTrain(tr, nil)
 		dres.TotalAttempts++
 		// Exact ack deadline: message done by t+k+L-2; ack (if any) by
 		// +1+k+ackLen-2. One extra step of slack.

@@ -18,7 +18,8 @@ type train struct {
 	// links holds the directed link ID of every path hop, narrowed to
 	// int32: the occupancy key space is validated to fit an int32 (see
 	// validator.check), so link IDs trivially do, and the walk touches
-	// half the memory of a []graph.LinkID.
+	// half the memory of a []graph.LinkID. Carved from the run's int32
+	// arena, right before keys.
 	links      []int32
 	start      int // step the head enters links[0]
 	length     int // L
@@ -27,13 +28,16 @@ type train struct {
 	band       Band
 	cut        bool  // lost at least one collision
 	waves      []int // per-link wavelength (conversion only); empty = fixed
-	// keys caches the occupancy slot key of every link index the head has
-	// entered, written during entry collection (and updated when a
-	// conversion moves the train to a new wavelength at that link). Entries
-	// at indices the head has not reached yet are garbage; release only
-	// walks indices strictly behind the head, so it never reads one.
-	// int32 is safe: validator.check bounds the whole key space to int32.
+	// keys caches the occupancy slot key of every link index. A
+	// fixed-wavelength train fills all of them at spawn; a converting
+	// train writes each during entry collection (and updates it when a
+	// conversion moves the train to a new wavelength at that link), so
+	// its entries at indices the head has not reached yet are garbage;
+	// release only walks indices strictly behind the head, so it never
+	// reads one. int32 is safe: validator.check bounds the whole key
+	// space to int32.
 	keys []int32
+	msg  *train // the message an acknowledgement answers
 }
 
 // fragment is a maximal contiguous run of surviving flits of one train.
@@ -52,12 +56,11 @@ type fragment struct {
 	lim        int32 // largest link index this fragment can occupy
 	self       int32 // arena index of this fragment (occupant back-reference)
 	gone       bool
+	// moved marks a fragment whose next head entry crosses from another
+	// shard's link onto this lane's (sharded runs only): the entry counts
+	// as a boundary handoff.
+	moved bool
 }
-
-// limit returns the largest link index this fragment can occupy. The value
-// is fixed at creation (barrier never moves after newFrag), so it is
-// precomputed into lim; hot loops read the field directly.
-func (f *fragment) limit() int { return int(f.lim) }
 
 // lo returns the tail-edge link index at step t: links below lo are free.
 func (f *fragment) lo(t int) int { return t - int(f.start) - int(f.jMax) }
@@ -79,8 +82,8 @@ type Engine struct {
 	g   *graph.Graph
 	cfg Config
 	// occ is the flat occupant table indexed by the dense slot key
-	// (band*nLinks + link)<<waveShift | wavelength. Freeness is NOT read
-	// from occ: the occBits words below are the single authority for
+	// (band*nPos + pos(link))<<waveShift | wavelength. Freeness is NOT
+	// read from occ: the occBits words below are the single authority for
 	// whether a slot is busy, and occ[k] is meaningful only while bit k is
 	// set (release clears the bit and leaves the stale entry in place).
 	// The per-(band,link) stride is the bandwidth rounded up to
@@ -97,9 +100,16 @@ type Engine struct {
 	occ       []occupant
 	occCount  int
 	occMsg    int
-	msgSlots  int  // nLinks<<waveShift: first ack-band key
+	msgSlots  int  // nPos<<waveShift: first ack-band key
 	waveShift uint // log2 of the padded per-(band,link) key stride
 	waveMask  int  // 1<<waveShift - 1: extracts the wavelength from a key
+	// nPos is the number of band-link positions per band. A plain run
+	// has lay nil and a link's position is its ID (nPos = nLinks). A
+	// sharded run renumbers the links so that each shard's links fill
+	// one contiguous, 64-aligned run of positions in each band (see
+	// shardLayout).
+	nPos int
+	lay  *shardLayout
 	// occBits mirrors occ as a bitmask: bit (k & wordMask) of word
 	// (k >> wordShift) is set iff slot k is occupied. Words are always a
 	// full 64 slots: the per-(band,link) stride is a power of two, so it
@@ -125,16 +135,9 @@ type Engine struct {
 	active    []*fragment
 	res       Result
 	nLinks    int
-	pendConv  []convAttempt
-	entries   []entry // per-step conflict-group scratch, sorted by (key, id)
-	live      []entry // per-group scratch after headChild chain resolution
-	// Batched grouping scratch (packed path): instead of globally sorting
-	// e.entries, each entrant is pushed onto a per-(band,link) chain and
-	// the touched band-links are visited in ascending order via the
-	// blWords bitmap, so a step costs O(entrants + touched words) instead
-	// of O(entrants log entrants). Generation stamps make bucket reuse
-	// O(1) per step with no clearing pass.
-	entryNext []int32 // entryNext[i]: next entry index in i's bucket
+	// lanes hold the per-step resolution scratch: lanes[0] serves a plain
+	// run, and RunSharded uses one lane per shard.
+	lanes []lane
 	// Bucket state is split by access temperature: bktGen — one byte per
 	// band-link — is the only array every entrant must LOAD, and at a
 	// byte per bucket it stays L1-resident; bktHead/bktTail are only
@@ -148,7 +151,6 @@ type Engine struct {
 	bktTail []int32
 	gen     uint8    // even step stamp; advances by 2, wraps via a clear
 	blWords []uint64 // bitmap over band-links with a non-empty bucket
-	bucket  []entry  // per-bucket (key, id) sort scratch
 	arena   arena
 	val     validator
 	// probe receives telemetry events when non-nil (copied from the
@@ -160,10 +162,80 @@ type Engine struct {
 	// one predictable branch per consultation site.
 	flt *engineFaults
 	ef  engineFaults
+	sh  coordinator // sharded-run scratch (see sharded.go)
 }
 
 // NewEngine returns an empty engine ready for its first Run.
 func NewEngine() *Engine { return &Engine{} }
+
+// lane is one resolution domain of the packed kernel: the links whose
+// keys lie in [kLo, kHi) (message band) and [kLo+msg, kHi+msg) (ack
+// band), their bucket and occupancy words, and the per-step scratch of
+// the heads entering them. Instead of globally sorting the step's
+// entrants, each is pushed onto a per-(band,link) chain and the touched
+// band-links are visited in ascending order via the blWords bitmap, so a
+// step costs O(entrants + touched words) instead of O(entrants log
+// entrants). Generation stamps make bucket reuse O(1) per step with no
+// clearing pass.
+//
+// A plain run has one lane covering every link, and applies cuts and
+// completions inline. A sharded run has one lane per shard: the lanes
+// run concurrently, each writes only its own words with plain stores,
+// and each records what crosses lanes for the coordinator (sharded.go).
+type lane struct {
+	entries   []entry // this step's deferred entrants
+	entryNext []int32 // entryNext[i]: next entry index in i's bucket
+	bucket    []entry // per-bucket (key, id) sort scratch
+	live      []entry // per-group scratch after headChild chain resolution
+	pendConv  []convAttempt
+	// dOcc and dMsg count the slots this lane claimed minus those it
+	// released since they were last folded into the engine's totals.
+	dOcc, dMsg int
+	probe      telemetry.Probe // receives this lane's slot claims and releases
+	kLo, kHi   int             // message-band key range of the lane's links
+	msg        int             // == Engine.msgSlots: offset of the ack band
+	words      [2][2]int       // blWords index ranges [lo, hi), resolved in order
+
+	// Sharded lanes only.
+	shared bool
+	act    []*fragment // fragments this lane walks
+	fresh  []*fragment // fragments the coordinator placed here this step
+	out    []laneBox   // boundary traffic, indexed by destination lane
+	// ended holds the fragments that completed ([0]) or whose heads a
+	// fault killed ([1]) this step, for the coordinator.
+	ended [2][]*fragment
+	// cuts holds the contention losers ([0]) and the failed conversions
+	// ([1]), each in ascending key order.
+	cuts     [2][]laneCut
+	handoffs uint64 // entries whose previous link was another lane's
+}
+
+// owns reports whether slot key k lies on one of the lane's links.
+//
+//optlint:hotpath packed
+func (ln *lane) owns(k int) bool {
+	if k >= ln.msg {
+		k -= ln.msg
+	}
+	return k >= ln.kLo && k < ln.kHi
+}
+
+// reset empties the lane's per-run state for a run with n lanes.
+func (ln *lane) reset(n int) {
+	ln.entries, ln.entryNext = ln.entries[:0], ln.entryNext[:0]
+	ln.live, ln.pendConv = ln.live[:0], ln.pendConv[:0]
+	ln.dOcc, ln.dMsg = 0, 0
+	ln.act, ln.fresh, ln.ended[0], ln.ended[1] = ln.act[:0], ln.fresh[:0], ln.ended[0][:0], ln.ended[1][:0]
+	ln.cuts[0], ln.cuts[1] = ln.cuts[0][:0], ln.cuts[1][:0]
+	ln.handoffs = 0
+	if cap(ln.out) < n {
+		ln.out = make([]laneBox, n)
+	}
+	ln.out = ln.out[:n]
+	for d := range ln.out {
+		ln.out[d].rel, ln.out[d].hand = ln.out[d].rel[:0], ln.out[d].hand[:0]
+	}
+}
 
 // entry is one fragment head entering a new link this step.
 type entry struct {
@@ -199,9 +271,28 @@ func (e *Engine) fragAt(fi int32) *fragment {
 	return &e.arena.fragSlabs[fi>>arenaChunkShift][fi&(arenaChunk-1)]
 }
 
+// slot returns link's band-link position in the key layout.
+//
+//optlint:hotpath packed
+func (e *Engine) slot(link int) int {
+	if e.lay == nil {
+		return link
+	}
+	return int(e.lay.pos[link])
+}
+
 //optlint:hotpath packed
 func (e *Engine) key(band Band, link graph.LinkID, wavelength int) int {
-	return (int(band)*e.nLinks+int(link))<<e.waveShift | wavelength
+	return (int(band)*e.nPos+e.slot(link))<<e.waveShift | wavelength
+}
+
+// globalKey is the slot key of train tr's link index i in the plain
+// layout, whatever the run's positions: the (band, link, wavelength)
+// order that cuts are replayed in.
+//
+//optlint:hotpath packed
+func (e *Engine) globalKey(tr *train, i int) int32 {
+	return int32((int(tr.band)*e.nLinks+int(tr.links[i]))<<e.waveShift | e.waveAt(tr, i))
 }
 
 // waveAt returns the wavelength train tr uses on its link index i,
@@ -229,24 +320,24 @@ func (e *Engine) fragKey(f *fragment, i int) int {
 	return e.key(f.t.band, int(f.t.links[i]), e.waveAt(f.t, i))
 }
 
-// setOcc claims slot k for fragment f at link index idx (overwriting a
-// surrendered occupant, if any). The occBits word is the single source of
-// truth for slot business; the occupant table is only meaningful — and
-// only read — where the bit is set, so releases never have to write it
-// back and stale entries are harmless.
+// claim makes lane ln's slot k the claim of fragment f at link index idx
+// (overwriting a surrendered occupant, if any). The occBits word is the
+// single source of truth for slot business; the occupant table is only
+// meaningful — and only read — where the bit is set, so releases never
+// have to write it back and stale entries are harmless.
 //
 //optlint:hotpath packed
-func (e *Engine) setOcc(k int, f *fragment, idx int) {
+func (e *Engine) claim(ln *lane, k int, f *fragment, idx int) {
 	wi, m := k>>e.wordShift, uint64(1)<<uint(k&e.wordMask)
 	if e.occBits[wi]&m == 0 {
 		e.occBits[wi] |= m
-		e.occCount++
+		ln.dOcc++
 		if k < e.msgSlots {
-			e.occMsg++
+			ln.dMsg++
 		}
-		if e.probe != nil {
+		if ln.probe != nil {
 			band, link, wave := e.slotCoords(k)
-			e.probe.SlotClaimed(e.now, band, link, wave)
+			ln.probe.SlotClaimed(e.now, band, link, wave)
 		}
 	}
 	e.occ[k] = occupant{fi: f.self, idx: int32(idx)}
@@ -255,7 +346,8 @@ func (e *Engine) setOcc(k int, f *fragment, idx int) {
 // delOcc frees slot k if fragment f still owns it. Used on the cut and
 // fault paths, where the slot may have been surrendered to a winner or
 // reassigned to a wreckage child: the identity check keeps f's cleanup
-// from freeing what is now someone else's claim.
+// from freeing what is now someone else's claim. The release event goes
+// to the probe of the lane owning the slot, as every slot event does.
 //
 //optlint:hotpath packed
 func (e *Engine) delOcc(k int, f *fragment) {
@@ -267,38 +359,56 @@ func (e *Engine) delOcc(k int, f *fragment) {
 			e.occMsg--
 		}
 		if e.probe != nil {
-			band, link, wave := e.slotCoords(k)
-			e.probe.SlotReleased(e.now, band, link, wave)
+			e.probeReleased(&e.lanes[e.laneOfKey(k)], k)
 		}
 	}
 }
 
-// releaseOcc frees slot k on the tail-release path. A live fragment owns
-// every entered, unreleased index of its window — losing a slot always
-// goes through split, which marks the fragment gone — so no ownership
-// check is needed and the occupant table is left untouched (its entry
-// goes stale behind a cleared bit, which no reader consults). Telemetry
-// is NOT emitted here: callers run probeReleased themselves after the
-// release loop, keeping this body inside the compiler's inline budget.
+// releaseOcc frees lane ln's slot k on the tail-release path. A live
+// fragment owns every entered, unreleased index of its window — losing a
+// slot always goes through split, which marks the fragment gone — so no
+// ownership check is needed and the occupant table is left untouched
+// (its entry goes stale behind a cleared bit, which no reader consults).
+// Telemetry is NOT emitted here: callers run probeReleased themselves,
+// keeping this body inside the compiler's inline budget.
 //
 //optlint:hotpath packed
-func (e *Engine) releaseOcc(k int) {
+func (e *Engine) releaseOcc(ln *lane, k int) {
 	e.occBits[k>>e.wordShift] &^= 1 << uint(k&e.wordMask)
-	e.occCount--
+	ln.dOcc--
 	if k < e.msgSlots {
-		e.occMsg--
+		ln.dMsg--
 	}
 }
 
 // probeReleased emits the slot-release telemetry event for a slot freed
-// through releaseOcc (which, unlike setOcc/delOcc, leaves probe emission
+// through releaseOcc (which, unlike claim/delOcc, leaves probe emission
 // to its callers so it stays inlinable).
 //
 //optlint:hotpath
-func (e *Engine) probeReleased(k int) {
-	if e.probe != nil {
+func (e *Engine) probeReleased(ln *lane, k int) {
+	if ln.probe != nil {
 		band, link, wave := e.slotCoords(k)
-		e.probe.SlotReleased(e.now, band, link, wave)
+		ln.probe.SlotReleased(e.now, band, link, wave)
+	}
+}
+
+// releaseKeys frees the slots in keys, which a tail has just passed.
+// A slot on another lane's link goes to that lane's inbox instead: its
+// owner frees it before resolving this step's conflicts.
+//
+//optlint:hotpath packed
+func (e *Engine) releaseKeys(ln *lane, keys []int32) {
+	for _, k32 := range keys {
+		k := int(k32)
+		if !ln.owns(k) {
+			e.sendRelease(ln, k)
+			continue
+		}
+		e.releaseOcc(ln, k)
+		if ln.probe != nil {
+			e.probeReleased(ln, k)
+		}
 	}
 }
 
@@ -321,31 +431,41 @@ func growWords(s []uint64, n int) []uint64 {
 
 // slotCoords decomposes occupancy key k into its (band, link, wavelength)
 // coordinates for probe hooks: the wavelength is the low waveShift bits,
-// the rest is band*nLinks+link, and band is 0 or 1.
+// the rest is band*nPos+position, and band is 0 or 1.
 //
 //optlint:hotpath
 func (e *Engine) slotCoords(k int) (band, link, wave int) {
 	wave = k & e.waveMask
 	link = k >> e.waveShift
-	if link >= e.nLinks {
+	if link >= e.nPos {
 		band = 1
-		link -= e.nLinks
+		link -= e.nPos
+	}
+	if e.lay != nil {
+		link = int(e.lay.linkAt[link])
 	}
 	return band, link, wave
 }
 
 // begin resets the engine for a new run on graph g under cfg, with room
-// for nOutcomes outcome slots.
+// for nOutcomes outcome slots, in the key layout lay (nil: the plain
+// layout with a single lane).
 //
 //optlint:hotpath
-func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
+func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int, lay *shardLayout) {
 	e.g, e.cfg = g, cfg
 	e.nLinks = g.NumLinks()
+	e.nPos, e.lay = e.nLinks, lay
+	nLanes := 1
+	if lay != nil {
+		e.nPos = lay.nPos
+		nLanes = len(lay.start) - 1
+	}
 	e.waveShift = uint(bits.Len(uint(cfg.Bandwidth - 1)))
 	e.waveMask = 1<<e.waveShift - 1
 	e.wordShift = 6 // full 64-slot words; see the occBits layout comment
 	e.wordMask = 1<<e.wordShift - 1
-	e.msgSlots = e.nLinks << e.waveShift
+	e.msgSlots = e.nPos << e.waveShift
 	need := 2 * e.msgSlots // message band + ack band
 	// The occupant table is never cleared: every read is guarded by a set
 	// occupancy bit, so stale entries from earlier runs are unreachable.
@@ -368,7 +488,7 @@ func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
 		clear(e.darkBits)
 		e.darkDirty = false
 	}
-	nBL := 2 * e.nLinks
+	nBL := 2 * e.nPos
 	if cap(e.bktGen) < nBL {
 		//optlint:allow hotpath capacity-guarded growth: only the first run on a larger graph allocates
 		e.bktGen = make([]uint8, nBL)
@@ -401,11 +521,26 @@ func (e *Engine) begin(g *graph.Graph, cfg Config, nOutcomes int) {
 	if e.probe != nil {
 		e.probe.BeginRun(telemetry.RunMeta{Links: e.nLinks, Bandwidth: cfg.Bandwidth, Worms: nOutcomes})
 	}
+	if cap(e.lanes) < nLanes {
+		//optlint:allow hotpath capacity-guarded growth: only the first run with more shards allocates
+		e.lanes = append(e.lanes[:cap(e.lanes)], make([]lane, nLanes-cap(e.lanes))...)
+	}
+	e.lanes = e.lanes[:nLanes]
+	for i := range e.lanes {
+		ln := &e.lanes[i]
+		ln.reset(nLanes)
+		ln.msg, ln.probe, ln.shared = e.msgSlots, e.probe, lay != nil
+		lo, hi := 0, e.nPos
+		if lay != nil {
+			lo, hi = lay.start[i], lay.start[i+1]
+		}
+		// A plain run's two bands can share the bitmap word at nPos; its
+		// first visit drains both bands' bits in ascending order.
+		ln.kLo, ln.kHi = lo<<e.waveShift, hi<<e.waveShift
+		ln.words = [2][2]int{{lo >> 6, (hi + 63) >> 6}, {(e.nPos + lo) >> 6, (e.nPos + hi + 63) >> 6}}
+	}
 	e.cal.reset()
 	e.active = e.active[:0]
-	e.pendConv = e.pendConv[:0]
-	e.entries = e.entries[:0]
-	e.live = e.live[:0]
 	e.arena.reset()
 	outs, colls := e.res.Outcomes[:0], e.res.Collisions[:0]
 	e.res = Result{Outcomes: outs, Collisions: colls}
@@ -425,8 +560,15 @@ func newOutcome() Outcome {
 
 // spawnWorms creates one message train per worm from the links the
 // validator resolved, schedules its spawn, and returns the step bound of
-// the run: cfg.MaxSteps, or a safe bound derived from the input.
+// the run: cfg.MaxSteps, or a safe bound derived from the input. It
+// reserves the int32 arena for the whole run: links and keys of every
+// message train, and of every acknowledgement the run can spawn.
 func (e *Engine) spawnWorms(worms []Worm, cfg Config) int {
+	need := 2 * len(e.val.linkBuf)
+	if cfg.AckLength > 0 {
+		need *= 2
+	}
+	e.arena.reserve(need)
 	maxEnd := 0
 	for i := range worms {
 		w := &worms[i]
@@ -436,18 +578,16 @@ func (e *Engine) spawnWorms(worms []Worm, cfg Config) int {
 		// The validator resolved every path hop once for its revisit check;
 		// reuse those link IDs instead of resolving the path a second time.
 		ids := e.val.links(i)
-		if cap(tr.links) < len(ids) {
-			tr.links = make([]int32, 0, len(ids))
-		}
-		for _, id := range ids {
-			tr.links = append(tr.links, int32(id))
+		tr.links = e.arena.carve(len(ids))
+		for j, id := range ids {
+			tr.links[j] = int32(id)
 		}
 		tr.start = w.Delay
 		tr.length = w.Length
 		tr.wavelength = w.Wavelength
 		tr.rank = w.Rank
 		tr.band = MessageBand
-		e.addTrain(tr)
+		e.addTrain(tr, nil)
 		end := w.Delay + len(tr.links) + w.Length + 2
 		if cfg.AckLength > 0 {
 			end += len(tr.links) + cfg.AckLength + 2
@@ -469,37 +609,47 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 	if err := e.val.check(g, worms, cfg); err != nil {
 		return nil, err
 	}
-	e.begin(g, cfg, len(worms))
+	e.begin(g, cfg, len(worms), nil)
 	maxSteps := e.spawnWorms(worms, cfg)
-
-	t, err := e.cal.nextSpawnTime(0)
-	if err != nil {
+	if err := e.drive(maxSteps, func() bool { return len(e.active) > 0 }, e.step); err != nil {
 		return nil, err
 	}
-	steps := 0
-	for e.cal.pending > 0 || len(e.active) > 0 {
-		if steps++; steps > maxSteps {
+	return e.finish(), nil
+}
+
+// drive steps the round until every train has spawned and drained,
+// jumping over idle time to the next spawn whenever no fragment is live.
+// It returns an error past maxSteps (a bug guard) or on a corrupted
+// spawn calendar.
+func (e *Engine) drive(maxSteps int, live func() bool, step func(t int)) error {
+	t, err := e.cal.nextSpawnTime(0)
+	if err != nil {
+		return err
+	}
+	for steps := 1; e.cal.pending > 0 || live(); steps++ {
+		if steps > maxSteps {
+			err = fmt.Errorf("sim: exceeded %d steps (internal bug guard)", maxSteps)
+		} else if !live() {
+			t, err = e.cal.nextSpawnTime(t)
+		}
+		if err == nil {
+			step(t)
+			if e.cfg.CheckInvariants {
+				err = e.checkInvariants(t)
+			}
+		}
+		if err != nil {
 			e.occClean = 0
-			return nil, fmt.Errorf("sim: exceeded %d steps (internal bug guard)", maxSteps)
-		}
-		if len(e.active) == 0 {
-			// Jump over idle time to the next spawn.
-			if t, err = e.cal.nextSpawnTime(t); err != nil {
-				e.occClean = 0
-				return nil, err
-			}
-		}
-		e.step(t)
-		if cfg.CheckInvariants {
-			if err := e.checkInvariants(t); err != nil {
-				e.occClean = 0
-				return nil, err
-			}
+			return err
 		}
 		t++
 	}
-	// Everything drained, so every slot was released: remember how much of
-	// the table is zero so the next begin can skip the clear.
+	return nil
+}
+
+// finish closes a drained run: it records that every slot was released,
+// so the next begin can skip the clear, and totals the outcomes.
+func (e *Engine) finish() *Result {
 	if e.occCount == 0 && len(e.occ) > e.occClean {
 		e.occClean = len(e.occ)
 	}
@@ -514,7 +664,7 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 	if e.probe != nil {
 		e.probe.EndRun(e.res.Makespan)
 	}
-	return &e.res, nil
+	return &e.res
 }
 
 // Run simulates one round with a fresh engine; the result is independent
@@ -523,34 +673,64 @@ func Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) {
 	return NewEngine().Run(g, worms, cfg)
 }
 
+// addTrain carves tr's key cache and schedules its spawn; msg is the
+// message train an acknowledgement answers (nil for a message).
+//
 //optlint:hotpath
-func (e *Engine) addTrain(tr *train) {
+func (e *Engine) addTrain(tr *train, msg *train) {
 	tr.waves = tr.waves[:0]
 	if e.cfg.Conversion != nil {
 		for range tr.links {
 			tr.waves = append(tr.waves, -1)
 		}
 	}
-	if cap(tr.keys) < len(tr.links) {
-		//optlint:allow hotpath capacity-guarded growth: only the first train of a given length allocates
-		tr.keys = make([]int32, len(tr.links))
-	} else {
-		tr.keys = tr.keys[:len(tr.links)]
-	}
-	if e.cfg.Conversion == nil {
-		// A fixed-wavelength train's claim keys are fully determined at
-		// spawn, so fill them all here in one streaming pass; the per-step
-		// collect then reads keys[i] instead of recomposing the key from
-		// links[i]. Converting trains keep the lazy per-step fill (their
+	tr.keys = e.arena.carve(len(tr.links))
+	tr.msg = msg
+	switch {
+	case e.cfg.Conversion != nil:
+		// Converting trains fill their keys lazily, per step (their
 		// wavelength can change mid-path).
-		base := int(tr.band) * e.nLinks
-		wv := tr.wavelength
+	case e.lay == nil:
+		e.fillKeys(tr)
+	default:
+		// A sharded run leaves the fill to the lane that first collects
+		// the train, so the lanes share the work (see coordinator.work).
+		tr.keys[0] = -1
+	}
+	e.cal.add(tr.start, tr)
+}
+
+// fillKeys computes every claim key of a fixed-wavelength train, which
+// are fully determined at spawn: the per-step collect then reads keys[i]
+// instead of recomposing the key from links[i].
+//
+//optlint:hotpath packed
+func (e *Engine) fillKeys(tr *train) {
+	base := int(tr.band) * e.nPos
+	wv := tr.wavelength
+	switch {
+	case e.lay == nil:
 		for i, id := range tr.links {
 			tr.keys[i] = int32((base+int(id))<<e.waveShift | wv)
 		}
+	case tr.msg != nil:
+		// An ack's link i reverses its message's link n-1-i. A reverse
+		// pair (2k, 2k+1) within one shard holds adjacent positions, as
+		// positions keep link-ID order within a shard, so the position
+		// follows from the message's key; only cut links look theirs up.
+		n := len(tr.links)
+		for i, id := range tr.links {
+			p := int(tr.msg.keys[n-1-i])>>e.waveShift + int(id) - int(id^1)
+			if e.lay.pairs[id>>6]&(1<<uint(id&63)) == 0 {
+				p = int(e.lay.pos[id])
+			}
+			tr.keys[i] = int32((base+p)<<e.waveShift | wv)
+		}
+	default:
+		for i, id := range tr.links {
+			tr.keys[i] = int32((base+int(e.lay.pos[id]))<<e.waveShift | wv)
+		}
 	}
-	f := e.arena.newFrag(tr, 0, tr.length-1, len(tr.links), 0)
-	e.cal.add(tr.start, f)
 }
 
 // step advances the simulation by one time step, dispatching to the
@@ -567,46 +747,52 @@ func (e *Engine) step(t int) {
 	e.stepPacked(t)
 }
 
-// stepPacked advances one step using the word-packed path. Entrants are
-// chained into per-(band,link) buckets recorded in the blWords bitmap
-// and resolved in ascending band-link order (TZCNT iteration), replacing
-// the flat path's global O(n log n) sort with O(n) bucket pushes. In the
-// fault-free case a single walk over the active list performs releases,
-// compaction, and entry collection at once; with a fault schedule
-// attached the walk splits into the flat path's phases so fault events
-// observe all releases and kills precede collection.
+// nextGen advances the bucket stamp for a new step.
 //
 //optlint:hotpath packed
-func (e *Engine) stepPacked(t int) {
-	e.now = t
-	e.entries = e.entries[:0]
-	e.entryNext = e.entryNext[:0]
+func (e *Engine) nextGen() {
 	e.gen += 2
 	if e.gen == 0 { // uint8 wrap: flush stale stamps, restart even
 		clear(e.bktGen)
 		e.gen = 2
 	}
+}
+
+// stepPacked advances one step using the word-packed path on the single
+// lane. Entrants are chained into per-(band,link) buckets and resolved in
+// ascending band-link order (see lane), replacing the flat path's global
+// O(n log n) sort with O(n) bucket pushes. In the fault-free case a
+// single walk over the active list performs releases, compaction, and
+// entry collection at once; with a fault schedule attached the walk
+// splits into the flat path's phases so fault events observe all
+// releases and kills precede collection.
+//
+//optlint:hotpath packed
+func (e *Engine) stepPacked(t int) {
+	e.now = t
+	ln := &e.lanes[0]
+	ln.entries = ln.entries[:0]
+	ln.entryNext = ln.entryNext[:0]
+	e.nextGen()
 	if e.flt != nil {
 		// Phased layout, mirroring stepFlat phases 1-3. Splits during
 		// fault kills append to e.active mid-walk (the range snapshot
 		// keeps iteration over the original entries), so compaction stays
 		// a separate pass at the end of the step.
 		for _, f := range e.active {
-			if f.gone {
-				continue
+			if !f.gone {
+				e.release(ln, f, t)
 			}
-			e.release(f, t)
 		}
 		e.advanceFaults(t)
-		e.active = e.cal.takeInto(t, e.active)
+		e.active = e.cal.takeInto(t, e.active, &e.arena)
 		for _, f := range e.active {
-			if f.gone {
-				continue
+			if !f.gone {
+				e.collectPacked(ln, f, t)
 			}
-			e.collectPacked(f, t)
 		}
-		e.resolveBuckets(t)
-		e.convertPacked(t)
+		e.resolveBuckets(ln, t)
+		e.convertPacked(ln, t)
 		liveActive := e.active[:0]
 		for _, f := range e.active {
 			if !f.gone {
@@ -620,41 +806,12 @@ func (e *Engine) stepPacked(t int) {
 		// acks via the calendar; cuts only happen later, in resolution),
 		// so in-place compaction is safe. Fragments cut during resolution
 		// stay in the list until the next step's walk drops them.
-		act := e.active
-		dst := 0
-		did := false // saw a fragment alive at the start of this step
-		for _, f := range act {
-			if f.gone {
-				continue
-			}
-			did = true
-			lo := int32(t) - f.start - f.jMax
-			if lo > f.lim {
-				e.release(f, t) // drain/completion path
-			} else if r := f.relUpTo; lo > r {
-				keys := f.t.keys
-				for i := r; i < lo; i++ {
-					e.releaseOcc(int(keys[i]))
-				}
-				if e.probe != nil {
-					for i := r; i < lo; i++ {
-						e.probeReleased(int(keys[i]))
-					}
-				}
-				f.relUpTo = lo
-			}
-			if f.gone {
-				continue
-			}
-			act[dst] = f
-			dst++
-			e.collectPacked(f, t)
-		}
+		kept, did := e.walk(ln, e.active, t)
 		// Acknowledgements spawned by completions above start this very
 		// step; activate and collect them now (takeInto appends).
-		e.active = e.cal.takeInto(t, act[:dst])
-		for _, f := range e.active[dst:] {
-			e.collectPacked(f, t)
+		e.active = e.cal.takeInto(t, kept, &e.arena)
+		for _, f := range e.active[len(kept):] {
+			e.collectPacked(ln, f, t)
 		}
 		if !did && len(e.active) == 0 {
 			// Nothing lived, activated, or drained this step: it only ran
@@ -663,8 +820,22 @@ func (e *Engine) stepPacked(t int) {
 			// flat path, which compacts eagerly, never executes it.
 			return
 		}
-		e.resolveBuckets(t)
-		e.convertPacked(t)
+		e.resolveBuckets(ln, t)
+		e.convertPacked(ln, t)
+	}
+	e.account(t)
+}
+
+// account folds the lanes' occupancy deltas into the engine totals and
+// books step t's busy slots.
+//
+//optlint:hotpath
+func (e *Engine) account(t int) {
+	for i := range e.lanes {
+		ln := &e.lanes[i]
+		e.occCount += ln.dOcc
+		e.occMsg += ln.dMsg
+		ln.dOcc, ln.dMsg = 0, 0
 	}
 	e.res.BusySlotSteps += e.occCount
 	e.res.MessageBusySlotSteps += e.occMsg
@@ -672,19 +843,71 @@ func (e *Engine) stepPacked(t int) {
 	if e.probe != nil {
 		e.probe.StepAdvanced(t, e.occMsg, e.occCount-e.occMsg)
 	}
+	// Every executed step either activated or advanced a fragment (the run
+	// loop jumps over idle gaps), so t is the last meaningful step so far.
 	e.res.Makespan = t
 }
 
-// collectPacked collects fragment f's head entry for step t, if any,
-// pushing it onto its (band, link) bucket chain. Heads entering a dark
-// link or slot (or an ack entering an ack-loss link) are killed here,
-// before contention, exactly as on the flat path.
+// walk is the fused release/collect pass of the packed kernel over act,
+// one lane's active list, at step t: it frees the links each tail has
+// passed, drops fragments that drained or were cut earlier, collects
+// every head's entry and — on a sharded lane — hands a fragment whose
+// next link is another lane's to that lane. It compacts act in place and
+// returns the fragments that stay; did reports whether any fragment was
+// alive at the start of the step.
 //
 //optlint:hotpath packed
-func (e *Engine) collectPacked(f *fragment, t int) {
+func (e *Engine) walk(ln *lane, act []*fragment, t int) (kept []*fragment, did bool) {
+	dst := 0
+	shared, probe := ln.shared, ln.probe != nil
+	for _, f := range act {
+		if f.gone {
+			continue
+		}
+		did = true
+		lo := int32(t) - f.start - f.jMax
+		if lo > f.lim {
+			e.release(ln, f, t) // drain/completion path
+			continue
+		}
+		if r := f.relUpTo; lo > r {
+			keys := f.t.keys[r:lo]
+			if shared {
+				e.releaseKeys(ln, keys)
+			} else {
+				// The plain lane owns every slot: release inline.
+				for _, k := range keys {
+					e.releaseOcc(ln, int(k))
+				}
+				if probe {
+					for _, k := range keys {
+						e.probeReleased(ln, int(k))
+					}
+				}
+			}
+			f.relUpTo = lo
+		}
+		entered := e.collectPacked(ln, f, t)
+		if shared && e.handOff(ln, f, t, entered) {
+			continue
+		}
+		act[dst] = f
+		dst++
+	}
+	return act[:dst], did
+}
+
+// collectPacked collects fragment f's head entry for step t, if any,
+// pushing it onto its (band, link) bucket chain, and reports whether the
+// head contends for a slot. Heads entering a dark link or slot (or an ack
+// entering an ack-loss link) are killed here, before contention, exactly
+// as on the flat path.
+//
+//optlint:hotpath packed
+func (e *Engine) collectPacked(ln *lane, f *fragment, t int) bool {
 	i := t - int(f.start) - int(f.jMin)
 	if i < 0 || i > int(f.lim) {
-		return
+		return false
 	}
 	tr := f.t
 	var k int
@@ -694,15 +917,19 @@ func (e *Engine) collectPacked(f *fragment, t int) {
 	} else {
 		// Converting train: the wavelength at i settles lazily, so compose
 		// the key now and cache it for release and cleanup.
-		k = (int(tr.band)*e.nLinks+int(tr.links[i]))<<e.waveShift | e.waveAt(tr, i)
+		k = e.key(tr.band, int(tr.links[i]), e.waveAt(tr, i))
 		tr.keys[i] = int32(k)
 	}
 	if fl := e.flt; fl != nil {
 		link := tr.links[i]
 		if fl.linkDark[link] > 0 || (tr.isAck && fl.ackLoss[link] > 0) ||
 			fl.slotDark[k] > 0 {
-			e.faultKillEntrant(f, i, t)
-			return
+			if ln.shared {
+				ln.ended[1] = append(ln.ended[1], f)
+			} else {
+				e.faultKillEntrant(f, i, t)
+			}
+			return false
 		}
 		// A fault kill earlier this step can leave a drain remnant whose
 		// head flit steps onto a link its train still occupies (the claim
@@ -713,7 +940,7 @@ func (e *Engine) collectPacked(f *fragment, t int) {
 		// Unreachable without faults: contention cuts happen after
 		// collection, and their remnants' heads start at the barrier.
 		if e.occBits[k>>e.wordShift]&(1<<uint(k&e.wordMask)) != 0 && e.occ[k].fi == f.self {
-			return
+			return false
 		}
 	}
 	bl := k >> e.waveShift
@@ -729,24 +956,24 @@ func (e *Engine) collectPacked(f *fragment, t int) {
 				// and bktHead remembers the key, so a second same-step
 				// entrant can revoke.
 				e.occBits[wi] |= m
-				e.occCount++
+				ln.dOcc++
 				if k < e.msgSlots {
-					e.occMsg++
+					ln.dMsg++
 				}
 				e.occ[k] = occupant{fi: f.self, idx: int32(i)}
 				e.bktGen[bl] = e.gen | 1
 				e.bktHead[bl] = int32(k)
-				return
+				return true
 			}
 		}
-		ei := int32(len(e.entries))
-		e.entries = append(e.entries, entry{key: k, f: f, idx: i})
-		e.entryNext = append(e.entryNext, -1)
+		ei := int32(len(ln.entries))
+		ln.entries = append(ln.entries, entry{key: k, f: f, idx: i})
+		ln.entryNext = append(ln.entryNext, -1)
 		e.bktGen[bl] = e.gen
 		e.bktHead[bl] = ei
 		e.bktTail[bl] = ei
 		e.blWords[bl>>6] |= 1 << uint(bl&63)
-		return
+		return true
 	}
 	if g&1 != 0 {
 		// A second entrant reached an optimistically claimed bucket: revoke
@@ -755,82 +982,86 @@ func (e *Engine) collectPacked(f *fragment, t int) {
 		k0 := int(e.bktHead[bl])
 		oc := e.occ[k0]
 		e.occBits[k0>>e.wordShift] &^= 1 << uint(k0&e.wordMask)
-		e.occCount--
+		ln.dOcc--
 		if k0 < e.msgSlots {
-			e.occMsg--
+			ln.dMsg--
 		}
-		ej := int32(len(e.entries))
-		e.entries = append(e.entries, entry{key: k0, f: e.fragAt(oc.fi), idx: int(oc.idx)})
-		e.entryNext = append(e.entryNext, -1)
+		ej := int32(len(ln.entries))
+		ln.entries = append(ln.entries, entry{key: k0, f: e.fragAt(oc.fi), idx: int(oc.idx)})
+		ln.entryNext = append(ln.entryNext, -1)
 		e.bktGen[bl] = e.gen
 		e.bktHead[bl] = ej
 		e.bktTail[bl] = ej
 		e.blWords[bl>>6] |= 1 << uint(bl&63)
 	}
-	ei := int32(len(e.entries))
-	e.entries = append(e.entries, entry{key: k, f: f, idx: i})
-	e.entryNext = append(e.entryNext, -1)
-	e.entryNext[e.bktTail[bl]] = ei
+	ei := int32(len(ln.entries))
+	ln.entries = append(ln.entries, entry{key: k, f: f, idx: i})
+	ln.entryNext = append(ln.entryNext, -1)
+	ln.entryNext[e.bktTail[bl]] = ei
 	e.bktTail[bl] = ei
+	return true
 }
 
-// resolveBuckets visits every non-empty bucket in ascending band-link
-// order, insertion-sorts its entrants by (key, id) — buckets are tiny, a
-// handful of wavelengths' worth of contenders — and resolves the groups.
-// Consumed bitmap words are zeroed in place, restoring the all-zero
-// between-steps invariant without a clearing pass.
+// resolveBuckets visits every non-empty bucket of lane ln in ascending
+// band-link order, insertion-sorts its entrants by (key, id) — buckets
+// are tiny, a handful of wavelengths' worth of contenders — and resolves
+// the groups. Consumed bitmap words are zeroed in place, restoring the
+// all-zero between-steps invariant without a clearing pass.
 //
 //optlint:hotpath packed
-func (e *Engine) resolveBuckets(t int) {
-	for wi, w := range e.blWords {
-		if w == 0 {
-			continue
-		}
-		e.blWords[wi] = 0
-		base := wi << 6
-		for w != 0 {
-			bl := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			hd := e.bktHead[bl]
-			if e.entryNext[hd] < 0 {
-				// Singleton bucket, by far the common case. With a free
-				// slot every rule, tie policy, and even a stuck coupler
-				// awards the slot to the lone entrant, so claim outright;
-				// only an incumbent needs the full group machinery.
-				en := e.entries[hd]
-				f := en.f
-				for f != nil && f.gone {
-					f = f.headChild
-				}
-				if f == nil || en.idx > int(f.lim) {
-					continue
-				}
-				if e.occBits[en.key>>e.wordShift]&(1<<uint(en.key&e.wordMask)) == 0 {
-					e.setOcc(en.key, f, en.idx)
-					continue
-				}
-				b := e.bucket[:0]
-				b = append(b, entry{key: en.key, f: f, idx: en.idx})
-				e.bucket = b
-				e.resolveGroups(b, t)
+func (e *Engine) resolveBuckets(ln *lane, t int) {
+	for _, r := range ln.words {
+		for wi := r[0]; wi < r[1]; wi++ {
+			w := e.blWords[wi]
+			if w == 0 {
 				continue
 			}
-			b := e.bucket[:0]
-			for ei := hd; ei >= 0; ei = e.entryNext[ei] {
-				b = append(b, e.entries[ei])
-			}
-			for x := 1; x < len(b); x++ {
-				en := b[x]
-				y := x - 1
-				for y >= 0 && (b[y].key > en.key ||
-					(b[y].key == en.key && b[y].f.t.id > en.f.t.id)) {
-					b[y+1] = b[y]
-					y--
+			e.blWords[wi] = 0
+			base := wi << 6
+			for w != 0 {
+				bl := base + bits.TrailingZeros64(w)
+				w &= w - 1
+				hd := e.bktHead[bl]
+				if ln.entryNext[hd] < 0 {
+					// Singleton bucket, by far the common case. With a free
+					// slot every rule, tie policy, and even a stuck coupler
+					// awards the slot to the lone entrant, so claim outright;
+					// only an incumbent needs the full group machinery.
+					en := ln.entries[hd]
+					f := en.f
+					for f != nil && f.gone {
+						f = f.headChild
+					}
+					if f == nil || en.idx > int(f.lim) {
+						continue
+					}
+					if e.occBits[en.key>>e.wordShift]&(1<<uint(en.key&e.wordMask)) == 0 {
+						e.claim(ln, en.key, f, en.idx)
+						continue
+					}
+					b := ln.bucket[:0]
+					b = append(b, entry{key: en.key, f: f, idx: en.idx})
+					ln.bucket = b
+					e.resolveGroups(ln, b, t)
+					continue
 				}
-				b[y+1] = en
+				b := ln.bucket[:0]
+				for ei := hd; ei >= 0; ei = ln.entryNext[ei] {
+					b = append(b, ln.entries[ei])
+				}
+				for x := 1; x < len(b); x++ {
+					en := b[x]
+					y := x - 1
+					for y >= 0 && (b[y].key > en.key ||
+						(b[y].key == en.key && b[y].f.t.id > en.f.t.id)) {
+						b[y+1] = b[y]
+						y--
+					}
+					b[y+1] = en
+				}
+				ln.bucket = b
+				e.resolveGroups(ln, b, t)
 			}
-			e.bucket = b
-			e.resolveGroups(b, t)
 		}
 	}
 }
@@ -839,10 +1070,12 @@ func (e *Engine) resolveBuckets(t int) {
 // packed words: the free-slot search is a TZCNT over ^(occ|dark) in the
 // cyclic order (cur+1 .. B-1, then 0 .. cur-1) the flat path scans
 // linearly, so both paths pick the same wavelength or cut the same worm.
+// A conversion only scans and claims slots of its own entry link, so a
+// lane's pass touches only its own words.
 //
 //optlint:hotpath packed
-func (e *Engine) convertPacked(t int) {
-	for _, ca := range e.pendConv {
+func (e *Engine) convertPacked(ln *lane, t int) {
+	for _, ca := range ln.pendConv {
 		f := ca.f
 		for f != nil && f.gone {
 			f = f.headChild
@@ -857,15 +1090,15 @@ func (e *Engine) convertPacked(t int) {
 			w = e.scanFreeWave(base, 0, cur)
 		}
 		if w < 0 {
-			e.cutEntrant(f, ca.idx, t, ca.blocker)
+			e.cut(ln, f, ca.idx, t, ca.blocker, 1)
 			continue
 		}
 		k := base | w
 		f.t.waves[ca.idx] = w
 		f.t.keys[ca.idx] = int32(k)
-		e.setOcc(k, f, ca.idx)
+		e.claim(ln, k, f, ca.idx)
 	}
-	e.pendConv = e.pendConv[:0]
+	ln.pendConv = ln.pendConv[:0]
 }
 
 // scanFreeWave returns the first wavelength in [lo, hi) whose slot
@@ -902,6 +1135,7 @@ func (e *Engine) scanFreeWave(base, lo, hi int) int {
 //optlint:hotpath
 func (e *Engine) stepFlat(t int) {
 	e.now = t
+	ln := &e.lanes[0]
 	// 1. Releases: free links the tails have passed; detect completion.
 	// This runs before activation so that an acknowledgement spawned by a
 	// delivery completing at step t-1 (ack start = t) is activated below.
@@ -909,7 +1143,7 @@ func (e *Engine) stepFlat(t int) {
 		if f.gone {
 			continue
 		}
-		e.release(f, t)
+		e.release(ln, f, t)
 	}
 
 	// 1b. Fault events due now (or skipped over during an idle jump) take
@@ -923,14 +1157,14 @@ func (e *Engine) stepFlat(t int) {
 	}
 
 	// 2. Activate trains spawning now.
-	e.active = e.cal.takeInto(t, e.active)
+	e.active = e.cal.takeInto(t, e.active, &e.arena)
 
 	// 3. Collect entries: each live fragment whose head enters a new link.
 	// Sorting by (slot key, worm ID) yields the conflict groups in
 	// deterministic key order with members in ID order, with no per-step
 	// map or closure allocation. Heads entering a dark link or slot (or an
 	// ack entering an ack-loss link) are killed here, before contention.
-	e.entries = e.entries[:0]
+	ln.entries = ln.entries[:0]
 	for _, f := range e.active {
 		if f.gone {
 			continue
@@ -955,9 +1189,9 @@ func (e *Engine) stepFlat(t int) {
 				continue
 			}
 		}
-		e.entries = append(e.entries, entry{key: k, f: f, idx: i})
+		ln.entries = append(ln.entries, entry{key: k, f: f, idx: i})
 	}
-	slices.SortFunc(e.entries, func(a, b entry) int {
+	slices.SortFunc(ln.entries, func(a, b entry) int {
 		if a.key != b.key {
 			return a.key - b.key
 		}
@@ -965,13 +1199,13 @@ func (e *Engine) stepFlat(t int) {
 	})
 
 	// 4. Resolve each group.
-	e.resolveGroups(e.entries, t)
+	e.resolveGroups(ln, ln.entries, t)
 
 	// 4b. Wavelength conversion: deferred losers scan for a free
 	// wavelength at their entry link in deterministic order; those that
 	// find none are cut after all. The flat path keeps the linear cyclic
 	// scan; the packed path replaces it with a word scan (same order).
-	for _, ca := range e.pendConv {
+	for _, ca := range ln.pendConv {
 		f := ca.f
 		for f != nil && f.gone {
 			f = f.headChild
@@ -989,7 +1223,7 @@ func (e *Engine) stepFlat(t int) {
 				(e.flt == nil || e.flt.slotDark[k] == 0) {
 				f.t.waves[ca.idx] = w
 				f.t.keys[ca.idx] = int32(k) // the cached claim key moves with the train
-				e.setOcc(k, f, ca.idx)
+				e.claim(ln, k, f, ca.idx)
 				converted = true
 				break
 			}
@@ -998,7 +1232,7 @@ func (e *Engine) stepFlat(t int) {
 			e.cutEntrant(f, ca.idx, t, ca.blocker)
 		}
 	}
-	e.pendConv = e.pendConv[:0]
+	ln.pendConv = ln.pendConv[:0]
 
 	// 5. Compact the active list.
 	liveActive := e.active[:0]
@@ -1008,15 +1242,7 @@ func (e *Engine) stepFlat(t int) {
 		}
 	}
 	e.active = liveActive
-	e.res.BusySlotSteps += e.occCount
-	e.res.MessageBusySlotSteps += e.occMsg
-	e.res.AckBusySlotSteps += e.occCount - e.occMsg
-	if e.probe != nil {
-		e.probe.StepAdvanced(t, e.occMsg, e.occCount-e.occMsg)
-	}
-	// Every executed step either activated or advanced a fragment (the run
-	// loop jumps over idle gaps), so t is the last meaningful step so far.
-	e.res.Makespan = t
+	e.account(t)
 }
 
 // resolveGroups resolves every conflict group in list, which must be
@@ -1027,7 +1253,7 @@ func (e *Engine) stepFlat(t int) {
 // hence every cut, claim, and probe event is identical either way.
 //
 //optlint:hotpath
-func (e *Engine) resolveGroups(list []entry, t int) {
+func (e *Engine) resolveGroups(ln *lane, list []entry, t int) {
 	for gi := 0; gi < len(list); {
 		k := list[gi].key
 		gj := gi + 1
@@ -1040,7 +1266,7 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 		// hands its pending entry to the child holding the old head flit.
 		// Chained children keep the parent's train, so the ID order of raw
 		// is preserved.
-		e.live = e.live[:0]
+		ln.live = ln.live[:0]
 		for _, en := range raw {
 			f := en.f
 			for f != nil && f.gone {
@@ -1054,9 +1280,9 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 			if en.idx > int(f.lim) {
 				continue
 			}
-			e.live = append(e.live, entry{key: k, f: f, idx: en.idx})
+			ln.live = append(ln.live, entry{key: k, f: f, idx: en.idx})
 		}
-		live := e.live
+		live := ln.live
 		if len(live) == 0 {
 			continue
 		}
@@ -1065,6 +1291,9 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 		var incIdx int
 		hasInc := e.occBits[k>>e.wordShift]&(1<<uint(k&e.wordMask)) != 0
 		if hasInc {
+			// On a sharded lane the occupant may be a fragment a deferred
+			// cut or kill splits after this step's resolution; the wreckage
+			// keeps the train, and only the train identifies the blocker.
 			oc := e.occ[k]
 			incF, incIdx = e.fragAt(oc.fi), int(oc.idx)
 		}
@@ -1077,13 +1306,13 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 			fl.stuck[e.g.Link(int(live[0].f.t.links[live[0].idx])).From] > 0 {
 			if hasInc {
 				for _, en := range live {
-					e.cutEntrant(en.f, en.idx, t, incF.t)
+					e.cut(ln, en.f, en.idx, t, incF.t, 0)
 				}
 			} else {
 				win := live[0] // smallest worm ID after sorting
-				e.setOcc(k, win.f, win.idx)
+				e.claim(ln, k, win.f, win.idx)
 				for _, en := range live[1:] {
-					e.cutEntrant(en.f, en.idx, t, win.f.t)
+					e.cut(ln, en.f, en.idx, t, win.f.t, 0)
 				}
 			}
 			continue
@@ -1092,28 +1321,30 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 		case optical.ServeFirst:
 			if hasInc {
 				for _, en := range live {
-					e.loseEntrant(en.f, en.idx, t, incF.t)
+					e.loseEntrant(ln, en.f, en.idx, t, incF.t)
 				}
 				continue
 			}
 			if len(live) == 1 {
-				e.setOcc(k, live[0].f, live[0].idx)
+				e.claim(ln, k, live[0].f, live[0].idx)
 				continue
 			}
 			switch e.cfg.Tie {
 			case optical.TieEliminateAll:
 				for x, en := range live {
 					blocker := live[(x+1)%len(live)].f.t
-					e.loseEntrant(en.f, en.idx, t, blocker)
+					e.loseEntrant(ln, en.f, en.idx, t, blocker)
 				}
 			case optical.TieArbitraryWinner:
 				win := live[0] // smallest worm ID after sorting
-				e.setOcc(k, win.f, win.idx)
+				e.claim(ln, k, win.f, win.idx)
 				for _, en := range live[1:] {
-					e.loseEntrant(en.f, en.idx, t, win.f.t)
+					e.loseEntrant(ln, en.f, en.idx, t, win.f.t)
 				}
 			}
 		case optical.Priority:
+			// Plain runs only: preemption frees a slot mid-resolution,
+			// which a sharded lane could not defer (see ShardedSupported).
 			best := 0
 			for x := 1; x < len(live); x++ {
 				if live[x].f.t.rank > live[best].f.t.rank {
@@ -1122,7 +1353,7 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 			}
 			if hasInc && incF.t.rank >= live[best].f.t.rank {
 				for _, en := range live {
-					e.loseEntrant(en.f, en.idx, t, incF.t)
+					e.loseEntrant(ln, en.f, en.idx, t, incF.t)
 				}
 				continue
 			}
@@ -1130,10 +1361,10 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 			if hasInc {
 				e.cutIncumbent(incF, incIdx, t, winner.f.t)
 			}
-			e.setOcc(k, winner.f, winner.idx)
+			e.claim(ln, k, winner.f, winner.idx)
 			for x, en := range live {
 				if x != best {
-					e.loseEntrant(en.f, en.idx, t, winner.f.t)
+					e.loseEntrant(ln, en.f, en.idx, t, winner.f.t)
 				}
 			}
 		}
@@ -1141,36 +1372,29 @@ func (e *Engine) resolveGroups(list []entry, t int) {
 }
 
 // release frees links the fragment's tail has passed, and completes the
-// fragment when everything has drained or been delivered.
+// fragment when everything has drained or been delivered (on a sharded
+// lane the completion is recorded for the coordinator instead).
 //
 //optlint:hotpath
-func (e *Engine) release(f *fragment, t int) {
+func (e *Engine) release(ln *lane, f *fragment, t int) {
 	limit := int(f.lim)
 	lo := f.lo(t)
-	upTo := lo
-	if upTo > limit+1 {
-		upTo = limit + 1
-	}
-	if upTo > int(f.relUpTo) {
+	if upTo := min(lo, limit+1); upTo > int(f.relUpTo) {
 		// Every index behind the tail was entered by a head in an earlier
 		// step, so its cached claim key is valid — no waveAt walk here —
 		// and a live fragment owns every entered, unreleased slot, so no
 		// ownership check is needed either.
-		keys := f.t.keys
-		for i := int(f.relUpTo); i < upTo; i++ {
-			e.releaseOcc(int(keys[i]))
-		}
-		if e.probe != nil {
-			for i := int(f.relUpTo); i < upTo; i++ {
-				e.probeReleased(int(keys[i]))
-			}
-		}
+		e.releaseKeys(ln, f.t.keys[f.relUpTo:upTo])
 		f.relUpTo = int32(upTo)
 	}
 	if lo > limit {
 		// All flits are past the last usable link: the fragment is done.
 		f.gone = true
-		e.complete(f, t)
+		if ln.shared {
+			ln.ended[0] = append(ln.ended[0], f)
+		} else {
+			e.complete(f, t)
+		}
 	}
 }
 
@@ -1212,19 +1436,16 @@ func (e *Engine) complete(f *fragment, t int) {
 	ack.id = tr.id
 	ack.outIdx = tr.outIdx
 	ack.isAck = true
-	if cap(ack.links) < len(tr.links) {
-		//optlint:allow hotpath capacity-guarded growth: only a fresh train slot allocates, once, at its final size
-		ack.links = make([]int32, 0, len(tr.links))
-	}
-	for i := len(tr.links) - 1; i >= 0; i-- {
-		ack.links = append(ack.links, int32(e.g.Reverse(int(tr.links[i]))))
+	ack.links = e.arena.carve(len(tr.links))
+	for i, id := range tr.links {
+		ack.links[len(tr.links)-1-i] = int32(e.g.Reverse(int(id)))
 	}
 	ack.start = deliveredAt + 1
 	ack.length = e.cfg.AckLength
 	ack.wavelength = e.waveAt(tr, len(tr.links)-1)
 	ack.rank = tr.rank
 	ack.band = AckBand
-	e.addTrain(ack)
+	e.addTrain(ack, tr)
 }
 
 // loseEntrant handles an entrant that lost its conflict: it is deferred
@@ -1232,13 +1453,28 @@ func (e *Engine) complete(f *fragment, t int) {
 // supports conversion, and cut otherwise.
 //
 //optlint:hotpath
-func (e *Engine) loseEntrant(f *fragment, idx, t int, blocker *train) {
+func (e *Engine) loseEntrant(ln *lane, f *fragment, idx, t int, blocker *train) {
 	if e.cfg.Conversion != nil && e.cfg.Bandwidth > 1 &&
 		e.cfg.Conversion(e.g.Link(int(f.t.links[idx])).From) {
-		e.pendConv = append(e.pendConv, convAttempt{f: f, idx: idx, blocker: blocker})
+		ln.pendConv = append(ln.pendConv, convAttempt{f: f, idx: idx, blocker: blocker})
 		return
 	}
-	e.cutEntrant(f, idx, t, blocker)
+	e.cut(ln, f, idx, t, blocker, 0)
+}
+
+// cut eliminates f's head entering links[idx]. A plain run cuts at once.
+// A sharded lane records the cut instead, keyed by its global slot key;
+// the coordinator replays every lane's cuts in that order after the
+// step's resolution (list 1 holds the failed conversions, replayed after
+// all contention cuts, as convertPacked runs after resolveBuckets).
+//
+//optlint:hotpath
+func (e *Engine) cut(ln *lane, f *fragment, idx, t int, blocker *train, list int) {
+	if !ln.shared {
+		e.cutEntrant(f, idx, t, blocker)
+		return
+	}
+	ln.cuts[list] = append(ln.cuts[list], laneCut{f: f, blocker: blocker, key: e.globalKey(f.t, idx), idx: int32(idx)})
 }
 
 // cutEntrant handles a fragment whose head flit was eliminated while
@@ -1304,12 +1540,7 @@ func (e *Engine) split(f *fragment, cutIdx, jCut, t int, occupiedCut bool) {
 	}
 	if e.cfg.Wreckage == Vanish {
 		// Drop all occupancy instantly.
-		limit := f.limit()
-		hi := f.hi(t)
-		if hi > limit {
-			hi = limit
-		}
-		for i := int(f.relUpTo); i <= hi; i++ {
+		for i := int(f.relUpTo); i <= min(f.hi(t), int(f.lim)); i++ {
 			if occupiedCut && i == cutIdx {
 				continue // the winner takes this slot
 			}
@@ -1325,8 +1556,8 @@ func (e *Engine) split(f *fragment, cutIdx, jCut, t int, occupiedCut bool) {
 		if ghost.relUpTo < f.relUpTo {
 			ghost.relUpTo = f.relUpTo
 		}
-		if ghost.lo(t) <= ghost.limit() {
-			e.reassign(f, ghost, int(ghost.relUpTo), minInt(ghost.hi(t), ghost.limit()))
+		if ghost.lo(t) <= int(ghost.lim) {
+			e.reassign(f, ghost, int(ghost.relUpTo), min(ghost.hi(t), int(ghost.lim)))
 			e.active = append(e.active, ghost)
 			f.headChild = ghost
 		} else {
@@ -1339,19 +1570,14 @@ func (e *Engine) split(f *fragment, cutIdx, jCut, t int, occupiedCut bool) {
 	}
 	if jCut < int(f.jMax) {
 		rem := e.arena.newFrag(f.t, jCut+1, int(f.jMax), cutIdx, int(f.relUpTo))
-		if rem.lo(t) <= rem.limit() {
-			e.reassign(f, rem, maxInt(int(rem.relUpTo), maxInt(rem.lo(t), 0)), rem.limit())
+		if rem.lo(t) <= int(rem.lim) {
+			e.reassign(f, rem, max(int(rem.relUpTo), rem.lo(t), 0), int(rem.lim))
 			e.active = append(e.active, rem)
 		}
 	}
 	// Any occupancy entry still pointing at f (in particular links[cutIdx]
 	// when the cut flit was an occupant and no winner replaces it) must go.
-	limit := f.limit()
-	hi := f.hi(t)
-	if hi > limit {
-		hi = limit
-	}
-	for i := int(f.relUpTo); i <= hi; i++ {
+	for i := int(f.relUpTo); i <= min(f.hi(t), int(f.lim)); i++ {
 		e.delOcc(e.fragKey(f, i), f)
 	}
 }
@@ -1371,22 +1597,9 @@ func (e *Engine) reassign(old, nw *fragment, from, to int) {
 	}
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // checkInvariants validates the packed occupancy words against the
-// fragment windows after a step. Only used in tests.
+// fragment windows after a step. Only used in tests; on a sharded run the
+// active fragments are the lanes' lists.
 //
 // The bit words are the authority for slot business, so the walk goes
 // bit-first: every set bit must map to a coherent occupant entry and the
@@ -1415,8 +1628,8 @@ func (e *Engine) checkInvariants(t int) error {
 			if f.gone {
 				return fmt.Errorf("sim: step %d: occupancy points at a gone fragment (worm %d)", t, f.t.id)
 			}
-			lo := maxInt(f.lo(t), 0)
-			hi := minInt(f.hi(t), f.limit())
+			lo := max(f.lo(t), 0)
+			hi := min(f.hi(t), int(f.lim))
 			if int(oc.idx) < lo || int(oc.idx) > hi {
 				return fmt.Errorf("sim: step %d: worm %d occupies link index %d outside window [%d,%d]",
 					t, f.t.id, oc.idx, lo, hi)
@@ -1442,13 +1655,20 @@ func (e *Engine) checkInvariants(t int) error {
 	}
 	// Reverse direction: every live fragment owns exactly its entered,
 	// unreleased window, and the totals agree with the popcount above.
+	active := e.active
+	if e.lanes[0].shared {
+		active = nil
+		for i := range e.lanes {
+			active = append(active, e.lanes[i].act...)
+		}
+	}
 	want := 0
-	for _, f := range e.active {
+	for _, f := range active {
 		if f.gone {
 			continue
 		}
-		lo := maxInt(int(f.relUpTo), 0)
-		hi := minInt(f.hi(t), f.limit())
+		lo := max(int(f.relUpTo), 0)
+		hi := min(f.hi(t), int(f.lim))
 		for i := lo; i <= hi; i++ {
 			k := int(f.t.keys[i])
 			if e.occBits[k>>e.wordShift]&(1<<uint(k&e.wordMask)) == 0 {
@@ -1485,7 +1705,7 @@ func (e *Engine) checkInvariants(t int) error {
 	// pointer-keyed map range here would visit trains in random order.
 	byTrain := make(map[*train][]*fragment)
 	var trains []*train
-	for _, f := range e.active {
+	for _, f := range active {
 		if f.gone {
 			continue
 		}

@@ -43,7 +43,7 @@ type engineFaults struct {
 	// linkDark[link] counts active LinkOutages on the directed link.
 	linkDark []int32
 	// slotDark counts active WavelengthOutages, indexed by the engine's
-	// dense slot key (band*nLinks + link)*Bandwidth + wavelength.
+	// dense slot key (see Engine.key).
 	slotDark []int32
 	// ackLoss[link] counts active AckLoss faults on the directed link.
 	ackLoss []int32
@@ -157,7 +157,7 @@ func (e *Engine) applyFaultEvent(ev *faults.Event, t int) {
 //
 //optlint:hotpath
 func (e *Engine) killLinkOccupants(link, t int) {
-	base := link << e.waveShift
+	base := e.slot(link) << e.waveShift
 	for w := 0; w < e.cfg.Bandwidth; w++ {
 		e.killSlotOccupant(base+w, t)            // message band
 		e.killSlotOccupant(e.msgSlots+base+w, t) // ack band

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/faults"
@@ -76,7 +77,38 @@ func FuzzEngineVsReference(f *testing.F) {
 				fast.CollisionCount, fast.Makespan, fast.BusySlotSteps,
 				ref.CollisionCount, ref.Makespan, ref.BusySlotSteps)
 		}
+		if ShardedSupported(cfg) {
+			shardedArm(t, g, worms, cfg)
+		}
 	})
+}
+
+// shardedArm pins RunSharded on 2 and 3 node-block shards to the packed
+// engine: the whole result, the ordered collision log and the fault-kill
+// count. At B >= 63 a bucket stride spans whole occupancy words, so the
+// shards' word ranges meet at a stride boundary.
+func shardedArm(t *testing.T, g *graph.Graph, worms []Worm, cfg Config) {
+	t.Helper()
+	cfg.RecordCollisions = true
+	cfg.CheckInvariants = true
+	packed, err := Run(g, worms, cfg)
+	if err != nil {
+		t.Fatalf("packed: %v", err)
+	}
+	eng := NewEngine()
+	for _, shards := range []int{2, 3} {
+		sr := &ShardedRun{Shards: shards, LinkOwner: blockOwners(g, shards)}
+		got, err := eng.RunSharded(g, worms, cfg, sr)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		label := fmt.Sprintf("sharded-vs-packed/shards=%d", shards)
+		compareResults(t, label, got, packed)
+		compareCollisionLogs(t, label, got, packed)
+		if got.FaultKillCount != packed.FaultKillCount {
+			t.Fatalf("%s: FaultKillCount %d vs %d", label, got.FaultKillCount, packed.FaultKillCount)
+		}
+	}
 }
 
 // decodeScenario deterministically maps fuzz bytes to a small scenario.

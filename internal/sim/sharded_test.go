@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -306,5 +309,37 @@ func TestShardedEngineReuse(t *testing.T) {
 		}
 		compareResults(t, fmt.Sprintf("trial %d (shards=%d)", trial, shards), &gotCopy, ref)
 		compareCollisionLogs(t, fmt.Sprintf("trial %d", trial), &gotCopy, ref)
+	}
+}
+
+// TestShardedBarrierWaitParksAndWakes drives the crews' barrier wait past its
+// spin budget, so the waiter parks, and checks that rouse wakes it once
+// its condition holds, and that a stale wake-up left in the channel only
+// costs the next wait a re-check.
+func TestShardedBarrierWaitParksAndWakes(t *testing.T) {
+	c := coordinator{parked: make([]atomic.Bool, 2), wake: []chan struct{}{nil, make(chan struct{}, 1)}}
+	for round := 0; round < 3; round++ {
+		var ready atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			c.await(1, ready.Load)
+			close(done)
+		}()
+		for !c.parked[1].Load() {
+			runtime.Gosched()
+		}
+		if round == 1 {
+			c.wake[1] <- struct{}{} // stale: the waiter must park again
+			for !c.parked[1].Load() {
+				runtime.Gosched()
+			}
+		}
+		ready.Store(true)
+		c.rouse(1)
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: parked waiter was not woken", round)
+		}
 	}
 }
