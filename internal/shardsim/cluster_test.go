@@ -74,10 +74,10 @@ func copyResult(r *sim.Result) *sim.Result {
 	return &cp
 }
 
-// TestClusterVsEngineAcrossTopologies is the satellite fuzz arm: the
-// cluster simulator with the real partitioner, across topologies hitting
-// every partition strategy, pinned byte-for-byte against both the packed
-// and the flat single-engine references.
+// TestClusterVsEngineAcrossTopologies: the cluster simulator with the
+// real partitioner, across topologies hitting every partition strategy,
+// pinned byte-for-byte against the single-lane engine and the per-flit
+// reference model.
 func TestClusterVsEngineAcrossTopologies(t *testing.T) {
 	topos := []struct {
 		name string
@@ -120,12 +120,11 @@ func TestClusterVsEngineAcrossTopologies(t *testing.T) {
 						t.Fatalf("%s: packed: %v", label, err)
 					}
 					compareRuns(t, label+"/vs-packed", gotCopy, packed)
-					cfg.ForceFlat = true
-					flat, err := refEng.Run(tp.g, worms, cfg)
+					ref, err := sim.RunReference(tp.g, worms, cfg)
 					if err != nil {
-						t.Fatalf("%s: flat: %v", label, err)
+						t.Fatalf("%s: reference: %v", label, err)
 					}
-					compareRuns(t, label+"/vs-flat", gotCopy, flat)
+					compareRuns(t, label+"/vs-reference", gotCopy, ref)
 				}
 			}
 		}
@@ -133,10 +132,9 @@ func TestClusterVsEngineAcrossTopologies(t *testing.T) {
 }
 
 // TestClusterFaultArm pins sharded execution under random fault plans —
-// the ISSUE's required faults arm — against the flat reference.
+// every fault kind — against the per-flit reference model.
 func TestClusterFaultArm(t *testing.T) {
 	g := topology.NewTorus(2, 4).Graph()
-	refEng := sim.NewEngine()
 	seed := uint64(81000)
 	for _, shards := range []int{2, 4, 8} {
 		cs := New(shards)
@@ -164,13 +162,11 @@ func TestClusterFaultArm(t *testing.T) {
 				t.Fatalf("%s: cluster: %v", label, err)
 			}
 			gotCopy := copyResult(got)
-			refCfg := cfg
-			refCfg.ForceFlat = true
-			flat, err := refEng.Run(g, worms, refCfg)
+			ref, err := sim.RunReference(g, worms, cfg)
 			if err != nil {
-				t.Fatalf("%s: flat: %v", label, err)
+				t.Fatalf("%s: reference: %v", label, err)
 			}
-			compareRuns(t, label, gotCopy, flat)
+			compareRuns(t, label, gotCopy, ref)
 		}
 	}
 }

@@ -89,8 +89,10 @@ func TestSparseConversionCutStress(t *testing.T) {
 // remnant's head re-enters a link its train still occupies in the same
 // step, loses to its own claim, and converts to a second wavelength —
 // leaving the cached key disagreeing with the original (now leaked) slot.
-// The invariant checker catches the divergence; both engine paths must
-// run clean and agree with each other.
+// The invariant checker catches the leak, and the per-flit reference —
+// where a train that held a slot last step is its incumbent, whichever
+// flit now stands on it — catches the spurious contention: the engine
+// must run clean and agree with it, fault kills included.
 func TestFaultKillRemnantReentry(t *testing.T) {
 	g := topology.NewTorus(2, 4).Graph()
 	src := rng.New(787)
@@ -114,18 +116,17 @@ func TestFaultKillRemnantReentry(t *testing.T) {
 		CheckInvariants:  true,
 		Faults:           plan.MustCompile(g, 2),
 	}
-	eng := NewEngine()
-	packed, err := eng.Run(g, worms, cfg)
+	got, err := NewEngine().Run(g, worms, cfg)
 	if err != nil {
-		t.Fatalf("packed path: %v", err)
+		t.Fatalf("engine: %v", err)
 	}
-	cfg.ForceFlat = true
-	flat, err := eng.Run(g, worms, cfg)
+	ref, err := RunReference(g, worms, cfg)
 	if err != nil {
-		t.Fatalf("flat path: %v", err)
+		t.Fatalf("reference: %v", err)
 	}
-	compareResults(t, "packed-vs-flat", packed, flat)
-	if packed.FaultKillCount != flat.FaultKillCount {
-		t.Errorf("fault kills diverge: packed %d, flat %d", packed.FaultKillCount, flat.FaultKillCount)
+	compareResults(t, "engine-vs-reference", got, ref)
+	compareCollisionLogs(t, "engine-vs-reference", got, ref)
+	if got.FaultKillCount != ref.FaultKillCount {
+		t.Errorf("fault kills diverge: engine %d, reference %d", got.FaultKillCount, ref.FaultKillCount)
 	}
 }

@@ -49,8 +49,8 @@ func compareResults(t *testing.T, label string, fast, ref *Result) {
 	}
 }
 
-// TestEngineVsReferenceAllCombos is the migration gate of the flat-table
-// engine: random workloads across every rule x tie x wreckage x conversion
+// TestEngineVsReferenceAllCombos is the gate of the packed engine:
+// random workloads across every rule x tie x wreckage x conversion
 // x ack combination must agree with the per-flit reference model on the
 // full Result. A single Engine is reused across all scenarios, so the test
 // also proves the pooled scratch state resets cleanly between rounds.
@@ -100,21 +100,8 @@ func TestEngineVsReferenceAllCombos(t *testing.T) {
 								t.Fatalf("%s: engine err %v, reference err %v", label, errF, errR)
 							}
 							compareResults(t, label, fast, ref)
-							if len(fast.Collisions) != len(ref.Collisions) {
-								t.Fatalf("%s: collision logs %d vs %d entries",
-									label, len(fast.Collisions), len(ref.Collisions))
-							}
-							// The legacy flat path must stay byte-identical to
-							// the packed path on the same reused engine (the
-							// engine also proves it switches modes cleanly).
+							compareCollisionLogs(t, label, fast, ref)
 							cfg.CheckInvariants = true
-							cfg.ForceFlat = true
-							flat, errFl := eng.Run(g, worms, cfg)
-							if errFl != nil {
-								t.Fatalf("%s: flat run: %v", label, errFl)
-							}
-							compareResults(t, label+"/flat", flat, ref)
-							cfg.ForceFlat = false
 							cfg.Faults = emptyPlan
 							withEmpty, errE := eng.Run(g, worms, cfg)
 							if errE != nil {
@@ -272,17 +259,16 @@ func TestAckCutRecorded(t *testing.T) {
 	compareResults(t, "ack cut", res, ref)
 }
 
-// TestPackedVsFlatFaultMatrix drives random fault schedules — outages,
-// wavelength outages, ack losses, stuck couplers — through the packed and
-// the flat engine paths across the rule/wreckage/conversion matrix. The
-// packed path batches entrants per (band, link) bucket and masks dark
-// slots in its word scans; the flat path keeps the global entrant sort.
-// Both must produce identical Results, including the fault-kill count, or
-// the dark-slot encoding of the packed representation is wrong.
-func TestPackedVsFlatFaultMatrix(t *testing.T) {
+// TestEngineVsReferenceFaultMatrix drives random fault schedules —
+// outages, wavelength outages, ack losses, stuck couplers — through the
+// engine and the per-flit reference model across the rule/wreckage/
+// conversion matrix. The engine kills occupants through its fragment
+// splits and masks dark slots in its word scans; the reference kills
+// flits one by one from the documented semantics. Both must produce
+// identical Results, ordered collision logs and fault-kill counts.
+func TestEngineVsReferenceFaultMatrix(t *testing.T) {
 	g := topology.NewTorus(2, 4).Graph()
 	eng := NewEngine()
-	flatEng := NewEngine()
 	seed := uint64(777)
 	for _, rule := range []optical.Rule{optical.ServeFirst, optical.Priority} {
 		for _, wreck := range []WreckagePolicy{Drain, Vanish} {
@@ -307,23 +293,19 @@ func TestPackedVsFlatFaultMatrix(t *testing.T) {
 						Faults:           plan.MustCompile(g, 2),
 					}
 					label := fmt.Sprintf("%v/%v/conv=%v/trial=%d", rule, wreck, conv != nil, trial)
-					packed, errP := eng.Run(g, worms, cfg)
-					if errP != nil {
-						t.Fatalf("%s: packed: %v", label, errP)
+					got, errE := eng.Run(g, worms, cfg)
+					if errE != nil {
+						t.Fatalf("%s: engine: %v", label, errE)
 					}
-					cfg.ForceFlat = true
-					flat, errF := flatEng.Run(g, worms, cfg)
-					if errF != nil {
-						t.Fatalf("%s: flat: %v", label, errF)
+					ref, errR := RunReference(g, worms, cfg)
+					if errR != nil {
+						t.Fatalf("%s: reference: %v", label, errR)
 					}
-					compareResults(t, label, packed, flat)
-					if packed.FaultKillCount != flat.FaultKillCount {
-						t.Fatalf("%s: FaultKillCount %d (packed) vs %d (flat)",
-							label, packed.FaultKillCount, flat.FaultKillCount)
-					}
-					if len(packed.Collisions) != len(flat.Collisions) {
-						t.Fatalf("%s: collision logs %d vs %d entries",
-							label, len(packed.Collisions), len(flat.Collisions))
+					compareResults(t, label, got, ref)
+					compareCollisionLogs(t, label, got, ref)
+					if got.FaultKillCount != ref.FaultKillCount {
+						t.Fatalf("%s: FaultKillCount %d (engine) vs %d (reference)",
+							label, got.FaultKillCount, ref.FaultKillCount)
 					}
 				}
 			}

@@ -281,7 +281,7 @@ func RunDynamicWithEngine(e *Engine, g *graph.Graph, reqs []Request, cfg Dynamic
 			}
 			delete(launches, t)
 		}
-		e.step(t)
+		e.stepPacked(t)
 		if cfg.Sim.CheckInvariants {
 			if err := e.checkInvariants(t); err != nil {
 				return nil, err

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/optical"
@@ -611,7 +610,7 @@ func (e *Engine) Run(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) 
 	}
 	e.begin(g, cfg, len(worms), nil)
 	maxSteps := e.spawnWorms(worms, cfg)
-	if err := e.drive(maxSteps, func() bool { return len(e.active) > 0 }, e.step); err != nil {
+	if err := e.drive(maxSteps, func() bool { return len(e.active) > 0 }, e.stepPacked); err != nil {
 		return nil, err
 	}
 	return e.finish(), nil
@@ -733,20 +732,6 @@ func (e *Engine) fillKeys(tr *train) {
 	}
 }
 
-// step advances the simulation by one time step, dispatching to the
-// word-packed fast path (default) or the legacy flat path (ForceFlat).
-// Both paths produce byte-identical results and probe streams; the flat
-// path keeps the original global entrant sort as a debugging reference.
-//
-//optlint:hotpath
-func (e *Engine) step(t int) {
-	if e.cfg.ForceFlat {
-		e.stepFlat(t)
-		return
-	}
-	e.stepPacked(t)
-}
-
 // nextGen advances the bucket stamp for a new step.
 //
 //optlint:hotpath packed
@@ -758,14 +743,14 @@ func (e *Engine) nextGen() {
 	}
 }
 
-// stepPacked advances one step using the word-packed path on the single
-// lane. Entrants are chained into per-(band,link) buckets and resolved in
-// ascending band-link order (see lane), replacing the flat path's global
-// O(n log n) sort with O(n) bucket pushes. In the fault-free case a
-// single walk over the active list performs releases, compaction, and
-// entry collection at once; with a fault schedule attached the walk
-// splits into the flat path's phases so fault events observe all
-// releases and kills precede collection.
+// stepPacked advances a plain run by one step on its single lane.
+// Entrants are chained into per-(band,link) buckets and resolved in
+// ascending band-link order (see lane), O(n) bucket pushes instead of a
+// global O(n log n) entrant sort. In the fault-free case a single walk
+// over the active list performs releases, compaction, and entry
+// collection at once; with a fault schedule attached the walk splits into
+// phases — releases, fault events, activation, collection — so fault
+// events observe all releases and their kills precede collection.
 //
 //optlint:hotpath packed
 func (e *Engine) stepPacked(t int) {
@@ -775,10 +760,11 @@ func (e *Engine) stepPacked(t int) {
 	ln.entryNext = ln.entryNext[:0]
 	e.nextGen()
 	if e.flt != nil {
-		// Phased layout, mirroring stepFlat phases 1-3. Splits during
-		// fault kills append to e.active mid-walk (the range snapshot
-		// keeps iteration over the original entries), so compaction stays
-		// a separate pass at the end of the step.
+		// Phased layout: releases first (a completion spawns its ack for
+		// this step), then the fault events due, then activation and
+		// collection. Splits during fault kills append to e.active mid-walk
+		// (the range snapshot keeps iteration over the original entries),
+		// so compaction stays a separate pass at the end of the step.
 		for _, f := range e.active {
 			if !f.gone {
 				e.release(ln, f, t)
@@ -816,8 +802,9 @@ func (e *Engine) stepPacked(t int) {
 		if !did && len(e.active) == 0 {
 			// Nothing lived, activated, or drained this step: it only ran
 			// because fragments cut in the previous step's resolution
-			// were compacted lazily. Suppress the step accounting — the
-			// flat path, which compacts eagerly, never executes it.
+			// were compacted lazily. Suppress the step accounting: the
+			// reference model, which drops finished trains eagerly, never
+			// accounts such a step.
 			return
 		}
 		e.resolveBuckets(ln, t)
@@ -900,8 +887,7 @@ func (e *Engine) walk(ln *lane, act []*fragment, t int) (kept []*fragment, did b
 // collectPacked collects fragment f's head entry for step t, if any,
 // pushing it onto its (band, link) bucket chain, and reports whether the
 // head contends for a slot. Heads entering a dark link or slot (or an ack
-// entering an ack-loss link) are killed here, before contention, exactly
-// as on the flat path.
+// entering an ack-loss link) are killed here, before contention.
 //
 //optlint:hotpath packed
 func (e *Engine) collectPacked(ln *lane, f *fragment, t int) bool {
@@ -1066,11 +1052,11 @@ func (e *Engine) resolveBuckets(ln *lane, t int) {
 	}
 }
 
-// convertPacked runs the step-4b wavelength-conversion pass using the
-// packed words: the free-slot search is a TZCNT over ^(occ|dark) in the
-// cyclic order (cur+1 .. B-1, then 0 .. cur-1) the flat path scans
-// linearly, so both paths pick the same wavelength or cut the same worm.
-// A conversion only scans and claims slots of its own entry link, so a
+// convertPacked runs the wavelength-conversion pass for the step's
+// deferred losers using the packed words: the free-slot search is a TZCNT
+// over ^(occ|dark) in the cyclic order cur+1 .. B-1, then 0 .. cur-1 —
+// the order the reference model scans one wavelength at a time. A
+// conversion only scans and claims slots of its own entry link, so a
 // lane's pass touches only its own words.
 //
 //optlint:hotpath packed
@@ -1129,128 +1115,11 @@ func (e *Engine) scanFreeWave(base, lo, hi int) int {
 	return -1
 }
 
-// stepFlat advances one step using the flat path: entrants are globally
-// sorted by (slot key, worm ID) and conflict groups resolved in order.
-//
-//optlint:hotpath
-func (e *Engine) stepFlat(t int) {
-	e.now = t
-	ln := &e.lanes[0]
-	// 1. Releases: free links the tails have passed; detect completion.
-	// This runs before activation so that an acknowledgement spawned by a
-	// delivery completing at step t-1 (ack start = t) is activated below.
-	for _, f := range e.active {
-		if f.gone {
-			continue
-		}
-		e.release(ln, f, t)
-	}
-
-	// 1b. Fault events due now (or skipped over during an idle jump) take
-	// effect: repairs first, then activations, which destroy the current
-	// occupants of newly dark slots. This runs before activation and entry
-	// collection so the whole step sees one consistent fault set, and the
-	// wreckage fragments of killed occupants join e.active in time for
-	// their own entries below.
-	if e.flt != nil {
-		e.advanceFaults(t)
-	}
-
-	// 2. Activate trains spawning now.
-	e.active = e.cal.takeInto(t, e.active, &e.arena)
-
-	// 3. Collect entries: each live fragment whose head enters a new link.
-	// Sorting by (slot key, worm ID) yields the conflict groups in
-	// deterministic key order with members in ID order, with no per-step
-	// map or closure allocation. Heads entering a dark link or slot (or an
-	// ack entering an ack-loss link) are killed here, before contention.
-	ln.entries = ln.entries[:0]
-	for _, f := range e.active {
-		if f.gone {
-			continue
-		}
-		i := f.hi(t)
-		if i < 0 || i > int(f.lim) {
-			continue
-		}
-		k := e.fragKey(f, i)
-		f.t.keys[i] = int32(k) // cache the claim key for release and cleanup
-		if fl := e.flt; fl != nil {
-			link := f.t.links[i]
-			if fl.linkDark[link] > 0 || (f.t.isAck && fl.ackLoss[link] > 0) ||
-				fl.slotDark[k] > 0 {
-				e.faultKillEntrant(f, i, t)
-				continue
-			}
-			// Same self-re-entry guard as collectPacked: a drain remnant of
-			// a fault kill re-entering a slot it already owns is continuous
-			// wormhole occupancy, not a fresh contention.
-			if e.occBits[k>>e.wordShift]&(1<<uint(k&e.wordMask)) != 0 && e.occ[k].fi == f.self {
-				continue
-			}
-		}
-		ln.entries = append(ln.entries, entry{key: k, f: f, idx: i})
-	}
-	slices.SortFunc(ln.entries, func(a, b entry) int {
-		if a.key != b.key {
-			return a.key - b.key
-		}
-		return a.f.t.id - b.f.t.id
-	})
-
-	// 4. Resolve each group.
-	e.resolveGroups(ln, ln.entries, t)
-
-	// 4b. Wavelength conversion: deferred losers scan for a free
-	// wavelength at their entry link in deterministic order; those that
-	// find none are cut after all. The flat path keeps the linear cyclic
-	// scan; the packed path replaces it with a word scan (same order).
-	for _, ca := range ln.pendConv {
-		f := ca.f
-		for f != nil && f.gone {
-			f = f.headChild
-		}
-		if f == nil || ca.idx > int(f.lim) {
-			continue
-		}
-		cur := e.waveAt(f.t, ca.idx)
-		converted := false
-		for d := 1; d < e.cfg.Bandwidth; d++ {
-			w := (cur + d) % e.cfg.Bandwidth
-			k := e.key(f.t.band, int(f.t.links[ca.idx]), w)
-			// A dark slot (wavelength outage) is free but unusable.
-			if e.occBits[k>>e.wordShift]&(1<<uint(k&e.wordMask)) == 0 &&
-				(e.flt == nil || e.flt.slotDark[k] == 0) {
-				f.t.waves[ca.idx] = w
-				f.t.keys[ca.idx] = int32(k) // the cached claim key moves with the train
-				e.claim(ln, k, f, ca.idx)
-				converted = true
-				break
-			}
-		}
-		if !converted {
-			e.cutEntrant(f, ca.idx, t, ca.blocker)
-		}
-	}
-	ln.pendConv = ln.pendConv[:0]
-
-	// 5. Compact the active list.
-	liveActive := e.active[:0]
-	for _, f := range e.active {
-		if !f.gone {
-			liveActive = append(liveActive, f)
-		}
-	}
-	e.active = liveActive
-	e.account(t)
-}
-
 // resolveGroups resolves every conflict group in list, which must be
 // sorted by (slot key, worm ID) and must contain all entrants of every
-// key it contains. Both engine paths funnel here: the flat path passes
-// the globally sorted entry slice, the packed path one per-(band,link)
-// bucket at a time, in ascending band-link order — the group order and
-// hence every cut, claim, and probe event is identical either way.
+// key it contains. resolveBuckets passes one per-(band,link) bucket at a
+// time, in ascending band-link order, so groups resolve in global (band,
+// link, wavelength) key order with members in worm-ID order.
 //
 //optlint:hotpath
 func (e *Engine) resolveGroups(ln *lane, list []entry, t int) {

@@ -296,8 +296,27 @@ func TestFaultScheduleGeometryMismatch(t *testing.T) {
 		DynamicConfig{Sim: c}, rng.New(1)); err == nil {
 		t.Error("RunDynamic accepted a mismatched schedule")
 	}
-	if _, err := RunReference(g4, []Worm{{ID: 0, Path: graph.Path{0, 1}, Length: 1}}, c); err == nil {
-		t.Error("RunReference accepted a non-empty fault schedule")
+	// The reference model and Trace validate the geometry like Run: a
+	// schedule compiled for another graph or bandwidth is refused, a
+	// matching one is accepted.
+	one := []Worm{{ID: 0, Path: graph.Path{0, 1}, Length: 1}}
+	for _, mis := range []struct {
+		name string
+		g    *graph.Graph
+		c    Config
+	}{{"graph", g5, c}, {"bandwidth", g4, c2}} {
+		if _, err := RunReference(mis.g, one, mis.c); err == nil {
+			t.Errorf("RunReference accepted a schedule compiled for a different %s", mis.name)
+		}
+		if _, _, err := Trace(mis.g, one, mis.c); err == nil {
+			t.Errorf("Trace accepted a schedule compiled for a different %s", mis.name)
+		}
+	}
+	if _, err := RunReference(g4, one, c); err != nil {
+		t.Errorf("RunReference refused a matching schedule: %v", err)
+	}
+	if _, _, err := Trace(g4, one, c); err != nil {
+		t.Errorf("Trace refused a matching schedule: %v", err)
 	}
 }
 
@@ -334,5 +353,35 @@ func TestFaultSoak(t *testing.T) {
 				t.Errorf("rule=%v wreckage=%v: %v", rule, wreck, err)
 			}
 		}
+	}
+}
+
+// TestAckLossTakesOutageRemnant pins the one ack-loss rule beyond plain
+// entry: the drain remnant an outage kill cuts free counts as entering
+// the link its new head stands on. An ack (L=3) straddles links 5 and 3;
+// an ack loss on link 5 activates after the ack's head entered it, and at
+// step 5 an outage on link 3 kills flit 1. Flit 2, left standing on link
+// 5, dies to the ack loss as well: two kills, in the engine and in the
+// reference alike.
+func TestAckLossTakesOutageRemnant(t *testing.T) {
+	g := chain(4)
+	worms := []Worm{{ID: 0, Path: graph.Path{0, 1, 2, 3}, Length: 1, Delay: 0, Wavelength: 0}}
+	c := cfg(1)
+	c.AckLength = 3
+	c.Faults = sched(t, g, 1,
+		faults.Fault{Kind: faults.AckLoss, Link: 5, Start: 4, End: 0},
+		faults.Fault{Kind: faults.LinkOutage, Link: 3, Start: 5, End: 0},
+	)
+	res := mustRun(t, g, worms, c)
+	ref, err := RunReference(g, worms, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, "ack-loss remnant", res, ref)
+	if !res.Outcomes[0].Delivered || res.Outcomes[0].Acked {
+		t.Fatalf("outcome %+v: want delivered, ack lost", res.Outcomes[0])
+	}
+	if res.FaultKillCount != 2 || ref.FaultKillCount != 2 {
+		t.Errorf("FaultKillCount engine %d, reference %d; want 2", res.FaultKillCount, ref.FaultKillCount)
 	}
 }

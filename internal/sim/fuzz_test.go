@@ -2,18 +2,21 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/optical"
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
 // FuzzEngineVsReference decodes arbitrary bytes into a routing scenario
-// and asserts the fragment engine and the per-flit reference simulator
-// produce identical results. `go test` runs the seed corpus; `go test
-// -fuzz=FuzzEngineVsReference ./internal/sim` explores further.
+// and asserts the engine and the per-flit reference simulator produce
+// identical results, fault plans and fault kills included. `go test`
+// runs the seed corpus; `go test -fuzz=FuzzEngineVsReference
+// ./internal/sim` explores further.
 func FuzzEngineVsReference(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 1, 0, 2, 5, 1})
 	f.Add([]byte{0, 2, 0, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -40,6 +43,15 @@ func FuzzEngineVsReference(f *testing.F) {
 	f.Add([]byte{0, 0x00, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{0, 0x10, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{0, 0x41, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0})
+	// Random fault plans (graph-byte bit 6), each with fault kills and a
+	// collision: serve-first drain with acks (sharded arm too), priority
+	// drain, vanish with conversion, B=64 conversion whose outages darken
+	// slots across the occupancy word boundary, and drain with conversion.
+	f.Add([]byte{66, 33, 12, 4, 11, 11, 6, 5, 10, 8, 2, 8, 14, 5, 9, 2, 3, 15, 12, 9, 13, 6, 0, 7, 6, 1})
+	f.Add([]byte{64, 37, 15, 2, 11, 5, 15, 6, 8, 6, 10, 0, 4, 7, 15, 8, 6, 9, 12, 0, 15, 13, 15, 14, 1, 1})
+	f.Add([]byte{65, 105, 4, 1, 14, 11, 14, 5, 13, 9, 7, 0, 0, 1, 6, 0, 9, 9, 4, 6, 13, 3, 10, 2, 10, 2})
+	f.Add([]byte{98, 97, 1, 1, 11, 11, 3, 2, 8, 9, 1, 1, 8, 11, 8, 11, 14, 8, 1, 15, 5, 5, 7, 13, 13, 14})
+	f.Add([]byte{66, 97, 0, 4, 9, 10, 1, 11, 3, 11, 0, 10, 1, 10, 0, 8, 15, 12, 1, 12, 7, 6, 9, 10, 13, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -49,33 +61,18 @@ func FuzzEngineVsReference(f *testing.F) {
 			return
 		}
 		cfg.CheckInvariants = true
-		fast, errF := Run(g, worms, cfg)
-		cfg.ForceFlat = true
-		flat, errFl := Run(g, worms, cfg)
-		cfg.ForceFlat = false
+		got, errE := Run(g, worms, cfg)
 		cfg.CheckInvariants = false
 		ref, errR := RunReference(g, worms, cfg)
-		if (errF != nil) != (errR != nil) || (errFl != nil) != (errR != nil) {
-			t.Fatalf("error disagreement: packed %v, flat %v, reference %v", errF, errFl, errR)
+		if (errE != nil) != (errR != nil) {
+			t.Fatalf("error disagreement: engine %v, reference %v", errE, errR)
 		}
-		if errF != nil {
+		if errE != nil {
 			return
 		}
-		compareResults(t, "flat-vs-packed", flat, fast)
-		for i := range worms {
-			if fast.Outcomes[i] != ref.Outcomes[i] {
-				t.Fatalf("worm %d: engine %+v vs reference %+v (worm %+v)",
-					i, fast.Outcomes[i], ref.Outcomes[i], worms[i])
-			}
-		}
-		if fast.CollisionCount != ref.CollisionCount ||
-			fast.Makespan != ref.Makespan ||
-			fast.BusySlotSteps != ref.BusySlotSteps ||
-			fast.MessageBusySlotSteps != ref.MessageBusySlotSteps ||
-			fast.AckBusySlotSteps != ref.AckBusySlotSteps {
-			t.Fatalf("aggregate disagreement: engine coll=%d makespan=%d busy=%d vs reference coll=%d makespan=%d busy=%d",
-				fast.CollisionCount, fast.Makespan, fast.BusySlotSteps,
-				ref.CollisionCount, ref.Makespan, ref.BusySlotSteps)
+		compareResults(t, "engine-vs-reference", got, ref)
+		if got.FaultKillCount != ref.FaultKillCount {
+			t.Fatalf("FaultKillCount: engine %d vs reference %d", got.FaultKillCount, ref.FaultKillCount)
 		}
 		if ShardedSupported(cfg) {
 			shardedArm(t, g, worms, cfg)
@@ -115,11 +112,17 @@ func shardedArm(t *testing.T, g *graph.Graph, worms []Worm, cfg Config) {
 // Config byte layout: bits 0-1 bandwidth-1, bit 2 rule, bit 3 wreckage,
 // bit 4 tie, bit 5 ack length, bit 6 wavelength conversion, bit 7
 // attached empty fault plan (must not change any result byte).
-// Graph byte: low bits pick the topology; bits 4-5, when nonzero,
-// override the bandwidth to 62+ext ∈ {63, 64, 65} so the packed path's
-// 64-slot word boundary is exercised (zero keeps the config-byte
-// bandwidth, so the original corpus decodes unchanged).
+// Graph byte: the byte with bit 6 masked off, modulo the topology count,
+// picks the topology; bits 4-5, when nonzero, override the bandwidth to
+// 62+ext ∈ {63, 64, 65} so the kernel's 64-slot word boundary is
+// exercised (zero keeps the config-byte bandwidth); bit 6 attaches a
+// non-empty random fault plan — every fault kind — drawn from a seed
+// hashed from all the input bytes, replacing any bit-7 empty plan. Clear
+// high bits keep the original corpus decoding unchanged.
 func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
+	h := fnv.New64a()
+	h.Write(data)
+	planSeed := h.Sum64()
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -134,7 +137,7 @@ func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
 		topology.NewTorus(2, 3).Graph(),
 	}
 	gb := next()
-	g := graphs[int(gb)%len(graphs)]
+	g := graphs[int(gb&^0x40)%len(graphs)]
 	cfgByte := next()
 	cfg := Config{
 		Bandwidth: 1 + int(cfgByte&3),
@@ -149,7 +152,15 @@ func decodeScenario(data []byte) (*graph.Graph, []Worm, Config) {
 	if ext := int(gb>>4) & 3; ext > 0 {
 		cfg.Bandwidth = 62 + ext
 	}
-	if cfgByte>>7&1 == 1 {
+	switch {
+	case gb>>6&1 == 1:
+		plan := faults.MustRandom(g, cfg.Bandwidth, faults.GenConfig{
+			Horizon: 16, LinkOutages: 2, WavelengthOutages: 2,
+			AckLosses: 2, StuckCouplers: 1,
+			MinDuration: 1, MaxDuration: 10,
+		}, rng.New(planSeed))
+		cfg.Faults = plan.MustCompile(g, cfg.Bandwidth)
+	case cfgByte>>7&1 == 1:
 		cfg.Faults = (&faults.Plan{}).MustCompile(g, cfg.Bandwidth)
 	}
 	n := g.NumNodes()

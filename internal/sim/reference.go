@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/optical"
 )
@@ -24,15 +25,18 @@ import (
 // barrier at the conflict link (they are absorbed at its coupler), the
 // flits ahead continue; under Vanish the whole contiguous fragment of
 // surviving flits around the colliding flit disappears instantly.
+//
+// Fault schedules (Config.Faults) follow the semantics documented in
+// faults.go, restated per flit: once the step's events are applied, every
+// live flit on a dark link or dark slot dies, an acknowledgement flit
+// entering an ack-loss link dies, and each death is wreckage exactly like
+// a cut but counted in FaultKillCount instead of the collision accounts.
+// A stuck coupler awards a slot to its incumbent, else to the lowest-ID
+// entrant, and cuts the losers with no conversion rescue; conversion
+// scans skip dark slots.
 func RunReference(g *graph.Graph, worms []Worm, cfg Config) (*Result, error) {
 	if err := validate(g, worms, cfg); err != nil {
 		return nil, err
-	}
-	// The reference model deliberately implements no fault physics; a
-	// compiled empty plan is fine (it changes nothing by definition) and
-	// the differential suite pins the engine to the reference under it.
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		return nil, fmt.Errorf("sim: the reference model does not support fault injection")
 	}
 	return runReference(g, worms, cfg, nil)
 }
@@ -46,6 +50,15 @@ func runReference(g *graph.Graph, worms []Worm, cfg Config, tl *Timeline) (*Resu
 		tl:   tl,
 		res:  &Result{Outcomes: make([]Outcome, len(worms))},
 		prev: make(map[int64]map[*refTrain]bool),
+	}
+	if cfg.Faults != nil && !cfg.Faults.Empty() {
+		r.flt = &refFaults{
+			events:    cfg.Faults.Events(),
+			linkDark:  make([]int, g.NumLinks()),
+			ackLoss:   make([]int, g.NumLinks()),
+			stuck:     make([]int, g.NumNodes()),
+			darkSlots: make(map[int64]int),
+		}
 	}
 	maxEnd := 0
 	for i := range worms {
@@ -139,7 +152,8 @@ func (tr *refTrain) pos(j, t int) int { return t - tr.start - j }
 type refEngine struct {
 	g       *graph.Graph
 	cfg     Config
-	tl      *Timeline // optional space-time recorder
+	tl      *Timeline  // optional space-time recorder
+	flt     *refFaults // nil without a (non-empty) fault schedule
 	res     *Result
 	pending []*refTrain
 	live    []*refTrain
@@ -215,6 +229,11 @@ func (r *refEngine) step(t int) {
 		}
 	}
 
+	// 3b. Faults due by now take effect, then destroy what they reach.
+	if r.flt != nil {
+		r.applyFaults(t)
+	}
+
 	// 4. Presence and contention, resolved in sorted key order exactly
 	// like the engine.
 	groups := make(map[int64][]refOcc)
@@ -254,6 +273,20 @@ func (r *refEngine) step(t int) {
 			continue
 		}
 		sort.Slice(entrants, func(a, b int) bool { return entrants[a].tr.id < entrants[b].tr.id })
+		if r.stuckAt(entrants[0], t) {
+			// A stuck coupler keeps its incumbent whatever the rule, else
+			// passes the lowest ID; losers are cut with no conversion.
+			if len(incumbents) > 0 {
+				for _, en := range entrants {
+					r.cut(en, t, incumbents[0].tr)
+				}
+			} else {
+				for _, en := range entrants[1:] {
+					r.cut(en, t, entrants[0].tr)
+				}
+			}
+			continue
+		}
 		switch r.cfg.Rule {
 		case optical.ServeFirst:
 			if len(incumbents) > 0 {
@@ -314,7 +347,9 @@ func (r *refEngine) step(t int) {
 			w := (cur + d) % r.cfg.Bandwidth
 			// Only attempts not yet processed stay excluded from the busy
 			// check: a converted loser is a real occupant now.
-			if !r.waveBusy(tr.band, p, tr.links[p], w, t, deferred[i+1:]) {
+			// A dark slot is free but cannot carry the converted train.
+			if !r.waveBusy(tr.band, p, tr.links[p], w, t, deferred[i+1:]) &&
+				!r.darkSlot(r.key(tr.band, tr.links[p], w)) {
 				tr.waves[p] = w
 				converted = true
 				break
@@ -497,6 +532,13 @@ func (r *refEngine) cut(en refOcc, t int, blocker *refTrain) {
 			LoserIsAck: tr.isAck,
 		})
 	}
+	r.wreck(en, e)
+}
+
+// wreck destroys flit en.j of en.tr at its link index e and applies the
+// wreckage policy to the rest of the train.
+func (r *refEngine) wreck(en refOcc, e int) {
+	tr := en.tr
 	switch r.cfg.Wreckage {
 	case Drain:
 		tr.alive[en.j] = false
@@ -515,4 +557,85 @@ func (r *refEngine) cut(en refOcc, t int, blocker *refTrain) {
 			tr.alive[j] = false
 		}
 	}
+}
+
+// refFaults is the reference model's fault state: the schedule's events
+// and one counter per faulty target, so overlapping windows compose.
+type refFaults struct {
+	events    []faults.Event
+	next      int           // first event not yet applied
+	linkDark  []int         // active link outages per directed link
+	ackLoss   []int         // active ack losses per directed link
+	stuck     []int         // active stuck couplers per node
+	darkSlots map[int64]int // active wavelength outages per slot key
+}
+
+// applyFaults applies every event due at or before step t (events passed
+// over while the network idled apply now, against an empty network), then
+// kills each live flit standing on a dark link or slot and each
+// acknowledgement flit entering an ack-loss link.
+func (r *refEngine) applyFaults(t int) {
+	fl := r.flt
+	for ; fl.next < len(fl.events) && fl.events[fl.next].Step <= t; fl.next++ {
+		ev := fl.events[fl.next]
+		d := 1
+		if !ev.Start {
+			d = -1
+		}
+		f := ev.Fault
+		switch f.Kind {
+		case faults.LinkOutage:
+			fl.linkDark[f.Link] += d
+		case faults.WavelengthOutage:
+			fl.darkSlots[r.key(Band(f.Band), f.Link, f.Wavelength)] += d
+		case faults.AckLoss:
+			fl.ackLoss[f.Link] += d
+		case faults.StuckCoupler:
+			fl.stuck[f.Node] += d
+		}
+	}
+	for _, tr := range r.live {
+		// freed is the flit just behind one an outage killed where the
+		// train held the slot: the head of the drain remnant, which counts
+		// as entering the link it stands on.
+		freed := -1
+		for j := range tr.alive {
+			if !tr.alive[j] {
+				continue
+			}
+			p := tr.pos(j, t)
+			if p < 0 || p >= len(tr.links) {
+				continue
+			}
+			link := tr.links[p]
+			k := r.key(tr.band, link, r.waveAt(tr, p))
+			held := r.prev[k][tr]
+			dark := fl.linkDark[link] > 0 || fl.darkSlots[k] > 0
+			lost := tr.isAck && fl.ackLoss[link] > 0 && (!held || j == freed)
+			if !dark && !lost {
+				continue
+			}
+			if dark && held {
+				freed = j + 1
+			}
+			tr.cut = true
+			r.res.FaultKillCount++
+			r.wreck(refOcc{tr: tr, j: j}, p)
+		}
+	}
+}
+
+// darkSlot reports whether a wavelength outage darkens slot key k.
+func (r *refEngine) darkSlot(k int64) bool {
+	return r.flt != nil && r.flt.darkSlots[k] > 0
+}
+
+// stuckAt reports whether the coupler feeding the link en enters at
+// step t is stuck.
+func (r *refEngine) stuckAt(en refOcc, t int) bool {
+	if r.flt == nil {
+		return false
+	}
+	link := en.tr.links[en.tr.pos(en.j, t)]
+	return r.flt.stuck[r.g.Link(link).From] > 0
 }

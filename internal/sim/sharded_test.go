@@ -43,11 +43,11 @@ func compareCollisionLogs(t *testing.T, label string, fast, ref *Result) {
 	}
 }
 
-// TestShardedVsEngineMatrix is the migration gate of the lockstep
-// sharded runner: for every shard count, tie policy, conversion
-// predicate, and ack length on the fast path, a fixed-seed sharded run
-// must reproduce the single-engine packed AND flat results byte for
-// byte, including the ordered collision log.
+// TestShardedVsEngineMatrix is the gate of the sharded runner: for every
+// shard count, tie policy, conversion predicate, and ack length on the
+// fast path, a fixed-seed sharded run must reproduce the single-lane
+// engine and the per-flit reference byte for byte, including the
+// ordered collision log.
 func TestShardedVsEngineMatrix(t *testing.T) {
 	g := topology.NewTorus(2, 4).Graph()
 	shardedEng := NewEngine()
@@ -102,13 +102,12 @@ func TestShardedVsEngineMatrix(t *testing.T) {
 						}
 						compareResults(t, label+"/vs-packed", &shardedCopy, packed)
 						compareCollisionLogs(t, label+"/vs-packed", &shardedCopy, packed)
-						cfg.ForceFlat = true
-						flat, err := refEng.Run(g, worms, cfg)
+						ref, err := RunReference(g, worms, cfg)
 						if err != nil {
-							t.Fatalf("%s: flat: %v", label, err)
+							t.Fatalf("%s: reference: %v", label, err)
 						}
-						compareResults(t, label+"/vs-flat", &shardedCopy, flat)
-						compareCollisionLogs(t, label+"/vs-flat", &shardedCopy, flat)
+						compareResults(t, label+"/vs-reference", &shardedCopy, ref)
+						compareCollisionLogs(t, label+"/vs-reference", &shardedCopy, ref)
 					}
 				}
 			}
@@ -118,12 +117,10 @@ func TestShardedVsEngineMatrix(t *testing.T) {
 
 // TestShardedFaultMatrix drives random fault plans — link and wavelength
 // outages, ack losses, stuck couplers — through the sharded runner and
-// pins it against the flat single-engine reference, fault kills
-// included.
+// pins it against the per-flit reference model, fault kills included.
 func TestShardedFaultMatrix(t *testing.T) {
 	g := topology.NewTorus(2, 4).Graph()
 	shardedEng := NewEngine()
-	refEng := NewEngine()
 	seed := uint64(42100)
 	for _, shards := range []int{2, 4, 8} {
 		sr := &ShardedRun{Shards: shards, LinkOwner: blockOwners(g, shards)}
@@ -155,16 +152,15 @@ func TestShardedFaultMatrix(t *testing.T) {
 				shardedCopy := *got
 				shardedCopy.Outcomes = append([]Outcome(nil), got.Outcomes...)
 				shardedCopy.Collisions = append([]Collision(nil), got.Collisions...)
-				cfg.ForceFlat = true
-				flat, err := refEng.Run(g, worms, cfg)
+				ref, err := RunReference(g, worms, cfg)
 				if err != nil {
-					t.Fatalf("%s: flat: %v", label, err)
+					t.Fatalf("%s: reference: %v", label, err)
 				}
-				compareResults(t, label, &shardedCopy, flat)
-				compareCollisionLogs(t, label, &shardedCopy, flat)
-				if shardedCopy.FaultKillCount != flat.FaultKillCount {
-					t.Fatalf("%s: FaultKillCount %d (sharded) vs %d (flat)",
-						label, shardedCopy.FaultKillCount, flat.FaultKillCount)
+				compareResults(t, label, &shardedCopy, ref)
+				compareCollisionLogs(t, label, &shardedCopy, ref)
+				if shardedCopy.FaultKillCount != ref.FaultKillCount {
+					t.Fatalf("%s: FaultKillCount %d (sharded) vs %d (reference)",
+						label, shardedCopy.FaultKillCount, ref.FaultKillCount)
 				}
 			}
 		}

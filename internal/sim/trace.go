@@ -12,6 +12,7 @@ import (
 // occupancy diagram: which worm occupied which directed link on which
 // wavelength at every step. It is intended for small scenarios — teaching,
 // debugging, and the documentation figures — and costs O(steps * flits).
+// A fault schedule in cfg applies exactly as in RunReference.
 func Trace(g *graph.Graph, worms []Worm, cfg Config) (*Result, *Timeline, error) {
 	if err := validate(g, worms, cfg); err != nil {
 		return nil, nil, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/optical"
 )
@@ -143,5 +144,37 @@ func TestTraceValidation(t *testing.T) {
 	g := chain(3)
 	if _, _, err := Trace(g, []Worm{{ID: 0, Path: graph.Path{0, 1}, Length: 1}}, Config{}); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestTraceUnderFaults: Trace runs the reference model with the fault
+// schedule attached, so its Result equals Run's and the diagram shows the
+// dark link empty for as long as the outage lasts.
+func TestTraceUnderFaults(t *testing.T) {
+	g := chain(5)
+	// Worm 0 occupies link 2 (node 1 -> 2) when the outage activates at
+	// step 3; worm 1 tries to enter it at step 4. Both die to the fault.
+	worms := []Worm{
+		{ID: 0, Path: graph.Path{0, 1, 2, 3, 4}, Length: 3, Delay: 0, Wavelength: 0},
+		{ID: 1, Path: graph.Path{1, 2, 3}, Length: 2, Delay: 4, Wavelength: 0},
+	}
+	c := cfg(1)
+	c.Faults = sched(t, g, 1, faults.Fault{Kind: faults.LinkOutage, Link: 2, Start: 3, End: 9})
+	want := mustRun(t, g, worms, c)
+	got, tl, err := Trace(g, worms, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, "trace-vs-run", got, want)
+	if got.FaultKillCount != want.FaultKillCount || got.FaultKillCount != 2 {
+		t.Fatalf("FaultKillCount: trace %d, run %d, want 2", got.FaultKillCount, want.FaultKillCount)
+	}
+	if _, ok := tl.Occupant(2, MessageBand, 2, 0); !ok {
+		t.Fatal("link 2 should carry worm 0 before the outage")
+	}
+	for step := 3; step < 9; step++ {
+		if worm, ok := tl.Occupant(step, MessageBand, 2, 0); ok {
+			t.Errorf("dark link 2 carries worm %d at step %d", worm, step)
+		}
 	}
 }
